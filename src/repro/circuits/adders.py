@@ -45,17 +45,11 @@ def ripple_carry_adder(
     carry = b.input("cin", arrival=cin_arrival)
     sums: List[int] = []
     for i in range(nbits):
-        slice_start = b.circuit._next_gid
         p = b.xor_simple(a_bus[i], b_bus[i], delay=XOR_DELAY)
         g = b.and_(a_bus[i], b_bus[i], delay=GATE_DELAY)
         sums.append(b.xor_simple(p, carry, delay=XOR_DELAY))
         t = b.and_(p, carry, delay=GATE_DELAY)
         carry = b.or_(g, t, delay=GATE_DELAY)
-        # every gid in the slice is a simple logic gate, so the range is
-        # a valid partition hint; all slices share one timing model
-        b.circuit.partition_hints.append(
-            list(range(slice_start, b.circuit._next_gid))
-        )
     b.output_bus("s", sums)
     b.output("cout", carry)
     return b.done()
@@ -98,7 +92,6 @@ def carry_skip_adder(
     carry = cin
     for base in range(0, nbits, block_size):
         block_in = carry
-        block_start = b.circuit._next_gid
         propagates: List[int] = []
         for i in range(base, base + block_size):
             p = b.xor_simple(a_bus[i], b_bus[i], delay=XOR_DELAY)
@@ -110,12 +103,6 @@ def carry_skip_adder(
         skip = b.and_(*propagates, delay=GATE_DELAY)
         # MUX: skip ? block_in : ripple carry
         carry = b.mux(skip, carry, block_in, delay=MUX_DELAY)
-        # one hint per block (ripple bits + skip AND + MUX): every block
-        # but the first shares a timing model (the first differs only in
-        # pin wiring when cin arrival differs; content-hash sorts it out)
-        b.circuit.partition_hints.append(
-            list(range(block_start, b.circuit._next_gid))
-        )
     b.output_bus("s", sums)
     b.output("cout", carry)
     return b.done()

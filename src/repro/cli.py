@@ -5,9 +5,7 @@ would run:
 
 * ``kms``      -- read BLIF, run the algorithm, write BLIF;
 * ``timing``   -- report topological / viable / sensitizable delay and
-  the longest paths with sensitization verdicts; ``--hier`` appends a
-  hierarchical-STA report (per-partition table, model-cache stats, and
-  a flat-vs-hier agreement check, see ``docs/TIMING.md``);
+  the longest paths with sensitization verdicts;
 * ``atpg``     -- fault counts, redundancies, and a generated test set;
 * ``table1``   -- regenerate the paper's Table I rows;
 * ``bench``    -- the engine-backed sweeps: Table I, the scaling study,
@@ -106,56 +104,6 @@ def cmd_kms(args) -> int:
     return 0 if report.ok else 1
 
 
-def _hier_report(circuit: Circuit, model, cache_dir: Optional[str]) -> bool:
-    """Flat-vs-hier STA comparison; True when the two engines agree."""
-    from .engine.cache import ResultCache
-    from .timing import HierSTA, IncrementalSTA, ModelStore
-
-    flat = IncrementalSTA(circuit, model)
-    store = ModelStore(
-        cache=ResultCache(cache_dir) if cache_dir else None
-    )
-    hier = HierSTA(circuit, model, store=store)
-    build = dict(hier.counters())
-    build["arrival_relaxations"] = hier.arrival_relaxations
-    build["dist_relaxations"] = hier.dist_relaxations
-    hier.materialize_all()
-    agree = (
-        flat.delay == hier.delay
-        and flat.num_longest_paths() == hier.num_longest_paths()
-        and flat.arrival == hier.arrival
-        and flat.dist_to_po == hier.dist_to_po
-        and flat.npaths_to_po == hier.npaths_to_po
-    )
-    parts = hier.partitions
-    shared = len(parts) - len({p.fingerprint for p in parts})
-    print("\nhierarchical STA (vs flat oracle):")
-    print(f"  agreement         : "
-          f"{'bit-identical' if agree else 'MISMATCH'}")
-    print(f"  partitions        : {len(parts)} "
-          f"({sum(len(p.gates) for p in parts)} of "
-          f"{circuit.num_gates()} gates; {shared} share a model)")
-    flat_relax = flat.arrival_relaxations + flat.dist_relaxations
-    hier_relax = (build["arrival_relaxations"]
-                  + build["dist_relaxations"])
-    ratio = flat_relax / hier_relax if hier_relax else float("inf")
-    print(f"  relaxations       : flat {flat_relax} -> "
-          f"hier {hier_relax} ({ratio:.1f}x)")
-    for name in ("models_extracted", "model_cache_hits",
-                 "partitions_dirty", "arcs_evaluated",
-                 "flat_relaxations_avoided", "model_relaxations"):
-        print(f"  {name:<18}: {int(build[name])}")
-    print(f"  model store       : {len(store)} models in memory, "
-          f"{store.disk_hits} disk hits"
-          + (f" ({cache_dir})" if cache_dir else ""))
-    print("  partition  gates  outs  model         source")
-    for inst in parts:
-        print(f"  {inst.pid:>9}  {len(inst.gates):>5}  "
-              f"{len(inst.out_gids):>4}  {inst.fingerprint[:12]}  "
-              f"{'cache' if inst.from_cache else 'extracted'}")
-    return agree
-
-
 def cmd_timing(args) -> int:
     circuit = _load(args.input)
     model = _model(args)
@@ -174,8 +122,6 @@ def cmd_timing(args) -> int:
             else "false"
         )
         print(f"  [{verdict:>12}] {path.describe(circuit)}")
-    if args.hier:
-        return 0 if _hier_report(circuit, model, args.model_cache) else 1
     return 0
 
 
@@ -627,17 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--paths", type=int, default=5)
     p.add_argument("--zero-arrivals", action="store_true")
-    p.add_argument(
-        "--hier", action="store_true",
-        help="append a hierarchical-STA report: per-partition table, "
-             "model-cache stats, and a flat-vs-hier agreement check "
-             "(exit 1 on disagreement)",
-    )
-    p.add_argument(
-        "--model-cache", metavar="DIR", default=None,
-        help="content-addressed timing-model cache directory "
-             "(--hier only; warm runs reload models from disk)",
-    )
     p.set_defaults(func=cmd_timing)
 
     p = sub.add_parser("atpg", help="fault/redundancy report")

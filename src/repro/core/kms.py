@@ -117,8 +117,6 @@ def kms(
     choose_path: Optional[Callable[[List[Path]], Path]] = None,
     incremental: bool = True,
     prefilter=None,
-    hier: Optional[bool] = None,
-    hier_store=None,
 ) -> KmsResult:
     """Derive an equivalent irredundant circuit that is no slower.
 
@@ -154,18 +152,6 @@ def kms(
             (:class:`repro.engine.batchsim.BatchPrefilter`), threaded to
             the cleanup's proof engine.  Never changes results; only
             batches where the simulation work happened.
-        hier: drive the incremental STA hierarchically
-            (:class:`repro.timing.HierSTA`): partitions collapse into
-            fingerprint-shared interface models, flat relaxation runs
-            only over the partition graph, and mutations dirty whole
-            partitions.  Annotations are bit-identical to the flat
-            engine, so removal sequences and result netlists do not
-            change.  ``None`` (default) follows ``REPRO_TIMING_HIER``
-            (on unless ``=0`` -- the flat A/B oracle).  Ignored when
-            ``incremental=False``.
-        hier_store: optional :class:`repro.timing.ModelStore` the
-            hierarchical engine should use instead of the process-wide
-            default (tests/benchmarks wanting cold-cache behavior).
 
     Returns:
         :class:`KmsResult` whose circuit is fully single-stuck-at
@@ -183,7 +169,6 @@ def kms(
     work = circuit.copy(f"{circuit.name}#kms")
     from ..atpg.proofengine import PROOF_COUNTERS
     from ..net import ARENA_COUNTERS, attach_arena, net_enabled
-    from ..timing.hier import HIER_COUNTERS
 
     # The working copy is where all the mutation happens; attach the
     # struct-of-arrays arena so every transform maintains the flat
@@ -202,7 +187,7 @@ def kms(
         "viability_checks_prefiltered",
         "cube_cache_hits",
         "paths_capped",
-    ) + HIER_COUNTERS + PROOF_COUNTERS + ARENA_COUNTERS:
+    ) + PROOF_COUNTERS + ARENA_COUNTERS:
         counters[name] = 0
 
     baseline_delay = None
@@ -210,11 +195,7 @@ def kms(
         baseline_delay = _delay_pair(circuit, model)
 
     timing = (
-        IncrementalTiming(
-            work, model, mode=mode, hier=hier, hier_store=hier_store
-        )
-        if incremental
-        else None
+        IncrementalTiming(work, model, mode=mode) if incremental else None
     )
 
     iteration = 0

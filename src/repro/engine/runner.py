@@ -355,15 +355,7 @@ def run_pipeline(
     engine path, and every pool worker.  ``prefilter`` (a
     :class:`repro.engine.batchsim.BatchPrefilter`) is exposed to stage
     bodies through ``ctx["batch_prefilter"]``."""
-    from ..timing.hier import configure_model_store
-
     cache = cache if cache is not None else ResultCache(None)
-    # Hierarchical-timing interface models are content-addressed stage
-    # results; pointing the model store at this run's cache lets warm
-    # sweeps reload extracted models from disk instead of re-deriving
-    # them.  Each analysis still opens a fresh in-memory store, so
-    # per-run counters stay a pure function of the analyzed circuit.
-    configure_model_store(cache if cache.enabled else None)
     config = config if config is not None else EngineConfig()
     telemetry = telemetry if telemetry is not None else Telemetry()
     result = JobResult(

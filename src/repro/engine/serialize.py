@@ -39,18 +39,15 @@ def circuit_to_dict(circuit: Circuit) -> Dict[str, Any]:
         "inputs": list(circuit.inputs),
         "outputs": list(circuit.outputs),
         "arrival": sorted(circuit.input_arrival.items()),
-        # optional key (absent when empty) so pre-existing cached
-        # payloads parse unchanged -- no schema bump needed
-        **(
-            {"hints": [list(h) for h in circuit.partition_hints]}
-            if circuit.partition_hints
-            else {}
-        ),
     }
 
 
 def circuit_from_dict(data: Dict[str, Any]) -> Circuit:
-    """Rebuild a circuit encoded by :func:`circuit_to_dict`."""
+    """Rebuild a circuit encoded by :func:`circuit_to_dict`.
+
+    Keys the encoder no longer writes are ignored, so payloads cached by
+    older versions (e.g. with a ``"hints"`` list of gid groups) still
+    load to the same circuit."""
     if data.get("schema") != SCHEMA:
         raise ValueError(f"not a serialized circuit: {data.get('schema')!r}")
     circuit = Circuit(data["name"])
@@ -65,5 +62,4 @@ def circuit_from_dict(data: Dict[str, Any]) -> Circuit:
     circuit._inputs = list(data["inputs"])
     circuit._outputs = list(data["outputs"])
     circuit.input_arrival = {gid: t for gid, t in data["arrival"]}
-    circuit.partition_hints = [list(h) for h in data.get("hints", [])]
     return circuit

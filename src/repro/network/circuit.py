@@ -111,13 +111,6 @@ class Circuit:
         #: circuit as struct-of-arrays, or None.  Every mutation
         #: primitive notifies it so the flat arrays stay fresh in place.
         self._arena = None
-        #: partition hints for hierarchical timing: gid groups marking
-        #: repeated sub-blocks (emitted by the generators in
-        #: :mod:`repro.circuits`, e.g. one group per carry-skip block).
-        #: Advisory only -- consumers (:mod:`repro.timing.hier`) validate
-        #: against the live netlist and ignore stale entries, so
-        #: transforms need not maintain them.
-        self.partition_hints: List[List[int]] = []
 
     # ------------------------------------------------------------------ #
     # construction primitives
@@ -448,7 +441,6 @@ class Circuit:
         other._inputs = list(self._inputs)
         other._outputs = list(self._outputs)
         other.input_arrival = dict(self.input_arrival)
-        other.partition_hints = [list(h) for h in self.partition_hints]
         return other
 
     # ------------------------------------------------------------------ #

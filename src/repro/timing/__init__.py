@@ -20,19 +20,6 @@ from .incremental import (
     IncrementalTiming,
     PREFILTER_WIDTH,
 )
-from .hier import (
-    HIER_COUNTERS,
-    HierSTA,
-    ModelStore,
-    PartitionInstance,
-    TimingModel,
-    configure_model_store,
-    default_model_store,
-    expand_witness,
-    extract_model,
-    hier_enabled,
-    partition_circuit,
-)
 from .paths import (
     Path,
     iter_paths_longest_first,
@@ -76,19 +63,8 @@ __all__ = [
     "path_viable_exact",
     "viable_lengths_under",
     "FanoutDelayModel",
-    "HIER_COUNTERS",
-    "HierSTA",
     "IncrementalSTA",
     "IncrementalTiming",
-    "ModelStore",
-    "PartitionInstance",
-    "TimingModel",
-    "configure_model_store",
-    "default_model_store",
-    "expand_witness",
-    "extract_model",
-    "hier_enabled",
-    "partition_circuit",
     "LibraryDelayModel",
     "NEVER",
     "PREFILTER_WIDTH",

@@ -112,23 +112,14 @@ class IncrementalTiming:
         model: Optional[DelayModel] = None,
         mode: str = "static",
         seed: int = 0,
-        hier: Optional[bool] = None,
-        hier_store=None,
     ) -> None:
         from ..engine.hashing import gate_fingerprints
-        from .hier import HierSTA, hier_enabled
 
         self.circuit = circuit
         self.model = model if model is not None else AsBuiltDelayModel()
         self.mode = mode
         self.seed = seed
-        if hier is None:
-            hier = hier_enabled()
-        self.hier = hier
-        if hier:
-            self.sta = HierSTA(circuit, self.model, store=hier_store)
-        else:
-            self.sta = IncrementalSTA(circuit, self.model)
+        self.sta = IncrementalSTA(circuit, self.model)
         #: with an attached arena the fingerprint cache lives in the
         #: arena (hook-driven dirty tracking, same digests); otherwise
         #: this context maintains its own gid-keyed dict.
@@ -331,16 +322,11 @@ class IncrementalTiming:
     # ------------------------------------------------------------------ #
 
     def counters(self) -> Dict[str, float]:
-        """The deterministic counter snapshot telemetry exports (plus
-        the hierarchical engine's own counters when it is active)."""
-        result = {
+        """The deterministic counter snapshot telemetry exports."""
+        return {
             "arrival_relaxations": self.sta.arrival_relaxations,
             "dist_relaxations": self.sta.dist_relaxations,
             "viability_checks_exact": self.viability_checks_exact,
             "viability_checks_prefiltered": self.viability_checks_prefiltered,
             "cube_cache_hits": self.cube_cache_hits,
         }
-        hier_counters = getattr(self.sta, "counters", None)
-        if hier_counters is not None:
-            result.update(hier_counters())
-        return result

@@ -15,8 +15,14 @@ Two layers of bit-identical agreement over randomized inputs:
   produce bit-identical final circuits (same content fingerprint) and
   SAT-equivalent networks on random redundant circuits.
 
-250 random circuits in batches (kept small so each test stays well
-under CI's per-test timeout).
+Both layers run under three delay models: the as-built integer delays,
+and two with non-integer delays -- a fanout-load model (0.1 per extra
+fanout, not exact in binary) and a library table with fractional gate
+and connection delays.  The plain numeric test ids are the as-built
+model; the others carry a ``fanout-``/``library-`` prefix.
+
+250 random circuits per model in batches (kept small so each test stays
+well under CI's per-test timeout).
 """
 
 import random
@@ -36,43 +42,74 @@ from repro.network.transform import (
 from repro.sat import check_equivalence
 from repro.timing import (
     AsBuiltDelayModel,
+    FanoutDelayModel,
     IncrementalSTA,
+    LibraryDelayModel,
     analyze,
     iter_paths_longest_first,
 )
 
-MODEL = AsBuiltDelayModel()
+#: (id prefix, model); the as-built model keeps the bare numeric ids.
+MODELS = [
+    ("", AsBuiltDelayModel()),
+    ("fanout-", FanoutDelayModel(AsBuiltDelayModel(), load_per_fanout=0.1)),
+    (
+        "library-",
+        LibraryDelayModel(
+            {
+                GateType.AND: 0.7,
+                GateType.OR: 0.9,
+                GateType.NAND: 0.3,
+                GateType.NOR: 1.1,
+                GateType.NOT: 0.2,
+            },
+            conn_default=0.1,
+        ),
+    ),
+]
 
 BATCHES = 10
 CIRCUITS_PER_BATCH = 25
 
 
-def _assert_matches_oracle(sta, circuit):
+def _over_models(cases):
+    """Parametrize a test over every delay model times ``cases``."""
+    return pytest.mark.parametrize(
+        "model,case",
+        [
+            pytest.param(model, case, id=f"{prefix}{case}")
+            for prefix, model in MODELS
+            for case in cases
+        ],
+    )
+
+
+def _assert_matches_oracle(sta, circuit, model):
     """Exact agreement between maintained state and from-scratch passes."""
-    fresh = IncrementalSTA(circuit, MODEL)
+    fresh = IncrementalSTA(circuit, model)
     assert sta.arrival == fresh.arrival
     assert sta.dist_to_po == fresh.dist_to_po
     assert sta.npaths_to_po == fresh.npaths_to_po
     assert sta.delay == fresh.delay
     assert sta.num_longest_paths() == fresh.num_longest_paths()
-    ann = analyze(circuit, MODEL)
+    ann = analyze(circuit, model)
     assert sta.arrival == ann.arrival
     assert sta.dist_to_po == ann.dist_to_po
     assert sta.delay == ann.delay
     mine = [
         (p.gates, p.conns, p.length)
         for p in iter_paths_longest_first(
-            circuit, MODEL, sta.annotation(), max_paths=25
+            circuit, model, sta.annotation(), max_paths=25
         )
     ]
     oracle = [
         (p.gates, p.conns, p.length)
-        for p in iter_paths_longest_first(circuit, MODEL, ann, max_paths=25)
+        for p in iter_paths_longest_first(circuit, model, ann, max_paths=25)
     ]
     assert mine == oracle
 
 
-def _mutate_constant(circuit, rng):
+def _mutate_constant(circuit, model, rng):
     candidates = [
         cid
         for cid, conn in circuit.conns.items()
@@ -89,16 +126,16 @@ def _mutate_constant(circuit, rng):
     return touched | propagated
 
 
-def _mutate_sweep(circuit, rng):
+def _mutate_sweep(circuit, model, rng):
     _, touched = sweep(circuit, collapse_buffers=True)
     return touched
 
 
-def _mutate_duplicate(circuit, rng):
+def _mutate_duplicate(circuit, model, rng):
     """The Fig. 3 duplication move: copy a path prefix up to a
     multi-fanout gate and re-source one of its fanout edges onto the
     duplicate (exactly what the KMS loop does per iteration)."""
-    paths = list(iter_paths_longest_first(circuit, MODEL, max_paths=8))
+    paths = list(iter_paths_longest_first(circuit, model, max_paths=8))
     if not paths:
         return None
     path = rng.choice(paths)
@@ -122,7 +159,7 @@ def _mutate_duplicate(circuit, rng):
     return touched
 
 
-def _mutate_arrival(circuit, rng):
+def _mutate_arrival(circuit, model, rng):
     if not circuit.inputs:
         return None
     pi = rng.choice(circuit.inputs)
@@ -154,29 +191,29 @@ def _random_subject(rng, index):
     )
 
 
-@pytest.mark.parametrize("batch", range(BATCHES))
-def test_incremental_sta_tracks_full_recompute(batch):
-    rng = random.Random(1000 + batch)
+@_over_models(range(BATCHES))
+def test_incremental_sta_tracks_full_recompute(model, case):
+    rng = random.Random(1000 + case)
     for index in range(CIRCUITS_PER_BATCH):
         circuit = _random_subject(rng, index)
-        sta = IncrementalSTA(circuit, MODEL)
-        _assert_matches_oracle(sta, circuit)
+        sta = IncrementalSTA(circuit, model)
+        _assert_matches_oracle(sta, circuit, model)
         for _step in range(rng.randint(2, 6)):
             mutate = rng.choice(MUTATIONS)
-            touched = mutate(circuit, rng)
+            touched = mutate(circuit, model, rng)
             if touched is None:
                 continue
             sta.refresh(touched)
-            _assert_matches_oracle(sta, circuit)
+            _assert_matches_oracle(sta, circuit, model)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_kms_incremental_bit_identical_random(seed):
+@_over_models(range(12))
+def test_kms_incremental_bit_identical_random(model, case):
     circuit = random_redundant_circuit(
-        num_inputs=5, num_gates=15, seed=seed
+        num_inputs=5, num_gates=15, seed=case
     )
-    inc = kms(circuit, model=MODEL, incremental=True)
-    full = kms(circuit, model=MODEL, incremental=False)
+    inc = kms(circuit, model=model, incremental=True)
+    full = kms(circuit, model=model, incremental=False)
     assert inc.iterations == full.iterations
     assert circuit_fingerprint(inc.circuit) == circuit_fingerprint(
         full.circuit
