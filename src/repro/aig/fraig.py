@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..sat.solver import Solver
-from ..sim.kernel import CompiledAig, kernel_enabled
+from ..sim.kernel import CompiledAig
 from .aig import Aig, lit_node, lit_phase
 
 
@@ -210,9 +210,8 @@ def fraig(
     patterns = aig.random_patterns(width, rng)
     # the swept graph is read-only during the sweep: compile its flat
     # simulation schedule once and route both the signature pass and
-    # every counterexample refinement through it (REPRO_SIM_LEGACY
-    # falls back to the interpreted Aig.simulate as the A/B oracle)
-    sim = CompiledAig(aig) if kernel_enabled() else aig
+    # every counterexample refinement through it
+    sim = CompiledAig(aig)
     sigs = sim.simulate(patterns, width)
 
     new = Aig(aig.name)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..network import Circuit
 from .faults import Fault, collapsed_faults
-from .faultsim import detecting_patterns, fault_coverage
+from .faultsim import fault_coverage
 from .podem import Podem, Status
 from .satatpg import SatAtpg
 
@@ -107,28 +107,18 @@ def compact(
     )
     # detection sets per vector, computed by bit-parallel blocks; the
     # good simulation is done once per block and shared across faults
-    from ..sim.kernel import get_compiled, kernel_enabled
-    from ..sim.parallel import pack_vectors, simulate_packed
+    from ..sim.kernel import get_compiled
+    from ..sim.parallel import pack_vectors
 
-    kern = get_compiled(circuit) if kernel_enabled() else None
+    kern = get_compiled(circuit)
     detected_by: List[set] = [set() for _ in vectors]
     block = 64
     for start in range(0, len(vectors), block):
         chunk = vectors[start : start + block]
         packed, width = pack_vectors(circuit, chunk)
-        if kern is not None:
-            good_words = kern.evaluate_words(packed, width)
-            good = None
-        else:
-            good_words = None
-            good = simulate_packed(circuit, packed, width)
+        good_words = kern.evaluate_words(packed, width)
         for f_idx, fault in enumerate(worklist):
-            if kern is not None:
-                mask = kern.detecting_word(fault, good_words, width)
-            else:
-                mask = detecting_patterns(
-                    circuit, fault, packed, width, good, compiled=False
-                )
+            mask = kern.detecting_word(fault, good_words, width)
             while mask:
                 bit = (mask & -mask).bit_length() - 1
                 detected_by[start + bit].add(f_idx)

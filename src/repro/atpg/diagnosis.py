@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..network import Circuit
-from ..sim.kernel import get_compiled, kernel_enabled
-from ..sim.parallel import pack_vectors, simulate_packed
+from ..sim.kernel import get_compiled
+from ..sim.parallel import pack_vectors
 from .faults import Fault, collapsed_faults
-from .faultsim import simulate_fault_packed
 
 Vector = Mapping[int, int]
 #: A failure signature: set of (vector index, PO gid) positions flipped.
@@ -67,32 +66,19 @@ class FaultDictionary:
     def _build(self) -> None:
         circuit = self.circuit
         block = 64
-        kern = get_compiled(circuit) if kernel_enabled() else None
+        kern = get_compiled(circuit)
         per_fault: Dict[Fault, set] = {f: set() for f in self.faults}
         for start in range(0, len(self.vectors), block):
             chunk = self.vectors[start : start + block]
             packed, width = pack_vectors(circuit, chunk)
-            if kern is not None:
-                good_words = kern.evaluate_words(packed, width)
-                po_pos = [(po, kern.pos[po]) for po in circuit.outputs]
-                for fault in self.faults:
-                    diffs = kern.fault_diffs(fault, good_words, width)
-                    for po, p in po_pos:
-                        if p not in diffs:
-                            continue
-                        diff = good_words[p] ^ diffs[p]
-                        while diff:
-                            bit = (diff & -diff).bit_length() - 1
-                            per_fault[fault].add((start + bit, po))
-                            diff &= diff - 1
-                continue
-            good = simulate_packed(circuit, packed, width)
+            good_words = kern.evaluate_words(packed, width)
+            po_pos = [(po, kern.pos[po]) for po in circuit.outputs]
             for fault in self.faults:
-                faulty = simulate_fault_packed(
-                    circuit, fault, packed, width
-                )
-                for po in circuit.outputs:
-                    diff = good[po] ^ faulty[po]
+                diffs = kern.fault_diffs(fault, good_words, width)
+                for po, p in po_pos:
+                    if p not in diffs:
+                        continue
+                    diff = good_words[p] ^ diffs[p]
                     while diff:
                         bit = (diff & -diff).bit_length() - 1
                         per_fault[fault].add((start + bit, po))

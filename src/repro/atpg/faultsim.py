@@ -25,19 +25,18 @@ from typing import (
 )
 
 from ..network import Circuit, GateType
-from ..sim.batch import BatchKernel, batch_enabled
-from ..sim.kernel import CompiledCircuit, get_compiled, kernel_enabled
+from ..sim.kernel import CompiledCircuit, get_compiled
 from ..sim.parallel import eval_gate_bits, pack_vectors, simulate_packed
 from .faults import CONN, Fault
 
 logger = logging.getLogger(__name__)
 
 #: ``compiled`` argument convention shared by the graded-simulation
-#: entry points: ``None`` = auto (use the circuit's cached compiled
-#: kernel unless ``REPRO_SIM_LEGACY`` forces the interpreted oracle),
-#: ``False`` = force the legacy per-call path, or an explicit
-#: :class:`repro.sim.kernel.CompiledCircuit` to reuse one schedule
-#: across many calls.
+#: entry points: ``None`` = the circuit's cached compiled kernel,
+#: ``False`` = the interpreted reference (``simulate_packed`` /
+#: :func:`simulate_fault_packed`, kept for tests and benchmarks), or an
+#: explicit :class:`repro.sim.kernel.CompiledCircuit` to reuse one
+#: schedule across many calls.
 CompiledArg = Union[None, bool, CompiledCircuit]
 
 
@@ -49,8 +48,6 @@ def _resolve_compiled(
         return None
     if isinstance(compiled, CompiledCircuit):
         return compiled
-    if compiled is None and not kernel_enabled():
-        return None
     return get_compiled(circuit)
 
 
@@ -272,66 +269,6 @@ def fault_coverage(
         detected=len(faults) - len(remaining),
         undetected_faults=remaining,
     )
-
-
-def batch_fault_coverage(
-    items: Sequence[Tuple[Circuit, Sequence[Fault], VectorsArg]],
-    block: int = 64,
-) -> List[CoverageReport]:
-    """Grade many (circuit, faults, vectors) triples at once.
-
-    The good-circuit simulations of every still-active member are fused
-    into one :class:`repro.sim.batch.BatchKernel` dispatch per pattern
-    block; fault grading stays event-driven per member against the
-    batched good words.  Bit-identical to calling
-    :func:`fault_coverage` per triple -- and literally that loop when
-    batching is disabled (``REPRO_SIM_BATCH=0``) or the legacy
-    interpreted path is forced (``REPRO_SIM_LEGACY``), preserving the
-    A/B oracle.
-    """
-    if not items:
-        return []
-    if len(items) == 1 or not batch_enabled() or not kernel_enabled():
-        return [
-            fault_coverage(c, f, v, block=block) for c, f, v in items
-        ]
-    blocks = [
-        list(_iter_packed_blocks(c, v, block)) for c, _f, v in items
-    ]
-    totals = [list(f) for _c, f, _v in items]
-    remaining = [list(f) for f in totals]
-    kerns = [get_compiled(c) for c, _f, _v in items]
-    r = 0
-    while True:
-        active = [
-            k
-            for k in range(len(items))
-            if remaining[k] and r < len(blocks[k])
-        ]
-        if not active:
-            break
-        bk = BatchKernel([items[k][0] for k in active])
-        packed = [blocks[k][r][0] for k in active]
-        widths = [blocks[k][r][1] for k in active]
-        words = bk.evaluate_words(packed, widths)
-        for j, k in enumerate(active):
-            kern = kerns[k]
-            still = [
-                f
-                for f in remaining[k]
-                if not kern.detecting_word(f, words[j], widths[j])
-            ]
-            kern.note_dropped(len(remaining[k]) - len(still))
-            remaining[k] = still
-        r += 1
-    return [
-        CoverageReport(
-            total_faults=len(totals[k]),
-            detected=len(totals[k]) - len(remaining[k]),
-            undetected_faults=remaining[k],
-        )
-        for k in range(len(items))
-    ]
 
 
 def complete_vector(

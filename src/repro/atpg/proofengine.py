@@ -141,11 +141,6 @@ class ProofEngine:
         seed: seed for the initial random vectors (the oracle's ``7``).
         jobs: when > 1, :meth:`redundant_faults` shards hard-fault SAT
             proofs across that many worker processes.
-        prefilter: optional precomputed first-epoch grading (a
-            :class:`repro.engine.batchsim.BatchPrefilter`, duck-typed to
-            its ``lookup``).  Consulted before the per-circuit
-            simulation prefilter; any mismatch falls back to grading
-            normally, so verdicts are bit-identical with or without it.
     """
 
     def __init__(
@@ -155,7 +150,6 @@ class ProofEngine:
         patterns: int = 64,
         seed: int = 7,
         jobs: Optional[int] = None,
-        prefilter=None,
     ) -> None:
         self.circuit = circuit
         self.backtrack_limit = backtrack_limit
@@ -163,7 +157,6 @@ class ProofEngine:
         self.counters: Dict[str, int] = {name: 0 for name in PROOF_COUNTERS}
         self._verdicts: Dict[Fault, str] = {}
         self._vectors = random_vectors(circuit, patterns, seed)
-        self._prefilter = prefilter
         # hoisted packing of the vector pool, rebuilt when the pool
         # grows or the circuit's PI set changes (see PackedCorpus)
         self._corpus: Optional[PackedCorpus] = None
@@ -228,24 +221,13 @@ class ProofEngine:
         self.counters["verdicts_carried"] += len(universe) - len(pending)
         self.counters["faults_requalified"] += len(pending)
         if pending and self._vectors:
-            detected: Optional[List[Fault]] = None
-            if self._prefilter is not None:
-                # sweep-level precomputed grading; exact-match guarded,
-                # so a hit is bit-identical to the fault_coverage below.
-                # One shot: only the pristine first-epoch circuit can
-                # match, so later epochs skip the fingerprint probe.
-                detected = self._prefilter.lookup(
-                    self.circuit, self._vectors, pending
-                )
-                self._prefilter = None
-            if detected is None:
-                report = fault_coverage(
-                    self.circuit, pending, self._vector_corpus()
-                )
-                undetected = set(report.undetected_faults)
-                detected = [f for f in pending if f not in undetected]
-            for f in detected:
-                self._verdicts[f] = TESTABLE
+            report = fault_coverage(
+                self.circuit, pending, self._vector_corpus()
+            )
+            undetected = set(report.undetected_faults)
+            for f in pending:
+                if f not in undetected:
+                    self._verdicts[f] = TESTABLE
         podem = Podem(self.circuit, backtrack_limit=self.backtrack_limit)
         return universe, podem
 

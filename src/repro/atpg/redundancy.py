@@ -161,7 +161,6 @@ def remove_redundancies(
     backtrack_limit: int = 100,
     patterns: int = 64,
     jobs: Optional[int] = None,
-    prefilter=None,
 ) -> RemovalResult:
     """Iteratively remove untestable faults until the circuit is
     irredundant.
@@ -179,10 +178,7 @@ def remove_redundancies(
     for any shared ``backtrack_limit`` (the PODEM budget per fault, the
     funnel's classic 100) and ``patterns`` (random-prefilter pool size).
     ``jobs`` shards hard-fault proofs in the ``choose`` path's full
-    classifications (serial otherwise).  ``prefilter`` (a
-    :class:`repro.engine.batchsim.BatchPrefilter`) is handed to the
-    incremental engine's first-epoch simulation prefilter; it never
-    changes verdicts, only where the grading work happened.
+    classifications (serial otherwise).
     """
     work = circuit.copy(f"{circuit.name}#irr")
     # Removal mutates `work` heavily (one remove + kernel refresh +
@@ -203,7 +199,6 @@ def remove_redundancies(
             backtrack_limit=backtrack_limit,
             patterns=patterns,
             jobs=jobs,
-            prefilter=prefilter,
         )
         counters = engine.counters
     else:

@@ -126,15 +126,8 @@ def cmd_timing(args) -> int:
 
 
 def cmd_atpg(args) -> int:
-    import os
+    from .sim.kernel import SimWorkTracker
 
-    from .sim.kernel import LEGACY_ENV, SimWorkTracker
-
-    if args.legacy_sim:
-        # process-wide so nested consumers (the redundant-fault random
-        # prefilter included) take the interpreted path too
-        os.environ[LEGACY_ENV] = "1"
-    compiled = False if args.legacy_sim else None
     sim_tracker = SimWorkTracker()
     circuit = _load(args.input)
     faults = collapsed_faults(circuit)
@@ -160,7 +153,7 @@ def cmd_atpg(args) -> int:
     if not args.tests:
         return 0
     vectors = random_vectors(circuit, args.random, seed=args.seed)
-    report = fault_coverage(circuit, faults, vectors, compiled=compiled)
+    report = fault_coverage(circuit, faults, vectors)
     podem = Podem(circuit)
     generated = 0
     for fault in report.undetected_faults:
@@ -170,7 +163,7 @@ def cmd_atpg(args) -> int:
                 {g: result.test.get(g, 0) for g in circuit.inputs}
             )
             generated += 1
-    final = fault_coverage(circuit, faults, vectors, compiled=compiled)
+    final = fault_coverage(circuit, faults, vectors)
     print(
         f"test set         : {len(vectors)} vectors "
         f"({args.random} random + {generated} PODEM)"
@@ -217,7 +210,6 @@ def cmd_bench(args) -> int:
         jobs=args.jobs,
         cache_dir=args.cache,
         stage_timeout=args.timeout,
-        batch_sim=False if args.no_batch_sim else None,
     )
     verify = None if args.verify == "none" else args.verify
     if args.suite == "table1":
@@ -581,12 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--legacy-sim",
-        action="store_true",
-        help="grade faults on the interpreted per-call simulator "
-        "instead of the compiled kernel (A/B oracle)",
-    )
-    p.add_argument(
         "--no-proofengine",
         action="store_true",
         help="classify redundancies with the from-scratch funnel "
@@ -648,13 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify", choices=["none", "fraig", "cnf"], default="none",
         help="append an equivalence check per job (table1 suite only)",
-    )
-    p.add_argument(
-        "--no-batch-sim", action="store_true",
-        help=(
-            "disable the cross-circuit batched-simulation pre-pass "
-            "(the REPRO_SIM_BATCH=0 A/B oracle path)"
-        ),
     )
     p.set_defaults(func=cmd_bench)
 

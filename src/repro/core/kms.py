@@ -116,7 +116,6 @@ def kms(
     max_iterations: int = 100000,
     choose_path: Optional[Callable[[List[Path]], Path]] = None,
     incremental: bool = True,
-    prefilter=None,
 ) -> KmsResult:
     """Derive an equivalent irredundant circuit that is no slower.
 
@@ -148,10 +147,6 @@ def kms(
             cache.  ``False`` keeps the from-scratch recompute per
             iteration; both take bit-identical decisions, so the full
             mode is the A/B oracle for the incremental one.
-        prefilter: optional sweep-level precomputed first-epoch grading
-            (:class:`repro.engine.batchsim.BatchPrefilter`), threaded to
-            the cleanup's proof engine.  Never changes results; only
-            batches where the simulation work happened.
 
     Returns:
         :class:`KmsResult` whose circuit is fully single-stuck-at
@@ -249,9 +244,7 @@ def kms(
     # (persistent verdicts, shared epoch solver) vs the A/B oracle.
     from ..atpg.redundancy import remove_redundancies
 
-    cleanup = remove_redundancies(
-        work, incremental=incremental, prefilter=prefilter
-    )
+    cleanup = remove_redundancies(work, incremental=incremental)
     for name, value in cleanup.counters.items():
         counters[name] = counters.get(name, 0) + value
     if arena is not None:

@@ -8,7 +8,6 @@ stage's input circuit.  See ``docs/ENGINE.md`` for the stage graph, the
 cache key scheme, and the telemetry schema.
 """
 
-from .batchsim import BatchPrefilter, prefilter_from_jobs
 from .cache import ResultCache, cache_key
 from .hashing import circuit_fingerprint, gate_fingerprints
 from .runner import (
@@ -51,7 +50,6 @@ from .sweep import (
 from .telemetry import StageRecord, Telemetry
 
 __all__ = [
-    "BatchPrefilter",
     "CSA_MODEL",
     "EngineConfig",
     "FACTORIES",
@@ -82,7 +80,6 @@ __all__ = [
     "get_stage",
     "model_from_params",
     "model_params",
-    "prefilter_from_jobs",
     "random_jobs",
     "rows_from_report",
     "run_jobs",

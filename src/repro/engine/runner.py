@@ -107,21 +107,12 @@ class Job:
 
 @dataclass
 class EngineConfig:
-    """Knobs shared by every job of a run.
-
-    ``batch_sim`` selects the cross-circuit batched-simulation pre-pass
-    (:mod:`repro.engine.batchsim`): ``None`` follows the process-wide
-    ``REPRO_SIM_BATCH`` switch (on by default), ``False`` forces the
-    per-circuit path (the A/B oracle), ``True`` forces the pre-pass on.
-    Results are bit-identical either way; only the counters showing
-    where simulation work happened move.
-    """
+    """Knobs shared by every job of a run."""
 
     jobs: int = 1
     cache_dir: Optional[str] = None
     stage_timeout: Optional[float] = None
     retries: int = 1
-    batch_sim: Optional[bool] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -129,7 +120,6 @@ class EngineConfig:
             "cache_dir": self.cache_dir,
             "stage_timeout": self.stage_timeout,
             "retries": self.retries,
-            "batch_sim": self.batch_sim,
         }
 
     @classmethod
@@ -347,14 +337,11 @@ def run_pipeline(
     config: Optional[EngineConfig] = None,
     telemetry: Optional[Telemetry] = None,
     keep_final: bool = False,
-    prefilter: Optional[Any] = None,
 ) -> JobResult:
     """Run a pipeline over an already-built circuit, in-process.
 
     This is the shared core of the serial bench path, the ``jobs=1``
-    engine path, and every pool worker.  ``prefilter`` (a
-    :class:`repro.engine.batchsim.BatchPrefilter`) is exposed to stage
-    bodies through ``ctx["batch_prefilter"]``."""
+    engine path, and every pool worker."""
     cache = cache if cache is not None else ResultCache(None)
     config = config if config is not None else EngineConfig()
     telemetry = telemetry if telemetry is not None else Telemetry()
@@ -363,8 +350,6 @@ def run_pipeline(
         fingerprint=circuit_fingerprint(circuit),
     )
     ctx: Dict[str, Any] = {"generated": circuit, "job": job_name}
-    if prefilter is not None:
-        ctx["batch_prefilter"] = prefilter
     current = circuit
     for call in pipeline:
         try:
@@ -388,7 +373,6 @@ def execute_job(
     cache: Optional[ResultCache] = None,
     config: Optional[EngineConfig] = None,
     telemetry: Optional[Telemetry] = None,
-    prefilter: Optional[Any] = None,
 ) -> JobResult:
     """Build the job's circuit from its factory spec and run its pipeline."""
     cache = cache if cache is not None else ResultCache(None)
@@ -410,7 +394,6 @@ def execute_job(
     result = run_pipeline(
         outcome.circuit, job.pipeline,
         job_name=job.name, cache=cache, config=config, telemetry=telemetry,
-        prefilter=prefilter,
     )
     result.results.setdefault("generate", outcome.payload)
     result.records = [r for r in telemetry.records if r.job == job.name]
@@ -418,77 +401,19 @@ def execute_job(
 
 
 def _job_worker(job_data: Dict[str, Any],
-                config_data: Dict[str, Any],
-                prefilter_data: Optional[Dict[str, Any]] = None,
-                ) -> Dict[str, Any]:
+                config_data: Dict[str, Any]) -> Dict[str, Any]:
     """Pool entry point: primitives in, primitives out."""
-    from .batchsim import BatchPrefilter
-
     job = Job.from_dict(job_data)
     config = EngineConfig.from_dict(config_data)
     cache = ResultCache(config.cache_dir)
-    prefilter = (
-        BatchPrefilter.from_dict(prefilter_data)
-        if prefilter_data is not None else None
-    )
     try:
-        return execute_job(job, cache=cache, config=config,
-                           prefilter=prefilter).to_dict()
+        return execute_job(job, cache=cache, config=config).to_dict()
     except Exception as exc:  # defensive: execute_job should not raise
         return JobResult(
             name=job.name, ok=False,
             error=f"worker: {type(exc).__name__}: {exc}\n"
                   f"{traceback.format_exc(limit=5)}",
         ).to_dict()
-
-
-def _build_prefilter(
-    jobs: List[Job], config: EngineConfig, telemetry: Telemetry
-):
-    """The sweep's cross-circuit batched-simulation pre-pass.
-
-    When batch sim is on (``config.batch_sim``, defaulting to the
-    process-wide ``REPRO_SIM_BATCH`` switch) and the sweep has more
-    than one job, every classifying job's first-epoch fault prefilter
-    is graded in one batched dispatch up front
-    (:func:`repro.engine.batchsim.prefilter_from_jobs`); the result is
-    injected into each pipeline's ``ctx`` -- in process on the serial
-    path, via a primitives round-trip on the pool path.  The pre-pass
-    gets its own telemetry record so the batched simulation work is
-    attributed explicitly instead of vanishing from the per-stage
-    counters.
-    """
-    from ..sim.batch import batch_enabled
-    from .batchsim import prefilter_from_jobs
-
-    on = config.batch_sim if config.batch_sim is not None else batch_enabled()
-    if not on or len(jobs) <= 1:
-        return None
-    start = now()
-    sim_tracker = SimWorkTracker()
-    try:
-        prefilter = prefilter_from_jobs(jobs)
-    except Exception as exc:  # never fail a sweep over its accelerator
-        telemetry.add(StageRecord(
-            job="__sweep__", stage="batch_prefilter",
-            label="batch_prefilter", seconds=now() - start,
-            cache=CACHE_UNCACHEABLE,
-            error=f"{type(exc).__name__}: {exc}",
-        ))
-        return None
-    if prefilter is None:
-        return None
-    # Hand the record the *live* counter dict: hit/miss tallies only
-    # accumulate while the jobs run, after this record is appended.
-    counters = prefilter.counters
-    for name, value in sim_tracker.counters.items():
-        if value:
-            counters[name] = value
-    telemetry.add(StageRecord(
-        job="__sweep__", stage="batch_prefilter", label="batch_prefilter",
-        seconds=now() - start, cache=CACHE_UNCACHEABLE, counters=counters,
-    ))
-    return prefilter
 
 
 def run_jobs(
@@ -506,25 +431,16 @@ def run_jobs(
     results: List[JobResult] = []
     if config.jobs <= 1 or len(jobs) <= 1:
         cache = ResultCache(config.cache_dir)
-        prefilter = _build_prefilter(jobs, config, telemetry)
         for job in jobs:
             results.append(
                 execute_job(job, cache=cache, config=config,
-                            telemetry=telemetry, prefilter=prefilter)
+                            telemetry=telemetry)
             )
     else:
         workers = min(config.jobs, len(jobs))
-        # The pre-pass runs once in the parent; workers rebuild the
-        # prefilter from primitives so their lookups (and the work
-        # counters those lookups shift) match the serial path exactly.
-        prefilter = _build_prefilter(jobs, config, telemetry)
-        prefilter_data = (
-            prefilter.to_dict() if prefilter is not None else None
-        )
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_job_worker, job.to_dict(), config.to_dict(),
-                            prefilter_data)
+                pool.submit(_job_worker, job.to_dict(), config.to_dict())
                 for job in jobs
             ]
             for job, future in zip(jobs, futures):

@@ -213,11 +213,7 @@ def _stage_atpg(
     if params.get("incremental", True):
         from ..atpg import ProofEngine
 
-        engine = ProofEngine(
-            circuit,
-            jobs=params.get("jobs"),
-            prefilter=ctx.get("batch_prefilter"),
-        )
+        engine = ProofEngine(circuit, jobs=params.get("jobs"))
         red = len(engine.redundant_faults())
         proof_counters = dict(engine.counters)
     else:
@@ -254,7 +250,6 @@ def _stage_kms(
         mode=params.get("mode", "static"),
         model=model,
         incremental=bool(params.get("incremental", True)),
-        prefilter=ctx.get("batch_prefilter"),
     )
     return StageOutcome(
         result.circuit,
@@ -382,7 +377,6 @@ def _stage_fuzz_grade(
         mode=params.get("mode", "static"),
         incremental=bool(params.get("incremental", True)),
         expect=circuit_fingerprint(circuit),
-        prefilter=ctx.get("batch_prefilter"),
     )
     counters = {
         "planted": len(payload["planted"]),

@@ -136,7 +136,6 @@ def grade_scenario(
     incremental: bool = True,
     classifier: Optional[Classifier] = None,
     expect: Optional[str] = None,
-    prefilter=None,
 ) -> Dict[str, Any]:
     """Grade one scenario end to end; returns a JSON-able payload.
 
@@ -144,9 +143,6 @@ def grade_scenario(
     tests and the minimizer to inject known-broken engines);
     ``expect`` is a circuit fingerprint the rebuilt planted circuit
     must match (catches cross-process generator nondeterminism).
-    ``prefilter`` (a :class:`repro.engine.batchsim.BatchPrefilter`)
-    batches the proof engines' first-epoch fault grading across the
-    whole campaign; verdicts are bit-identical with or without it.
     """
     from ..atpg import ProofEngine, is_irredundant, redundant_faults
     from ..core import kms
@@ -177,7 +173,7 @@ def grade_scenario(
     if classifier is not None:
         proved = set(classifier(circuit, faults))
     elif incremental:
-        engine = ProofEngine(circuit, prefilter=prefilter)
+        engine = ProofEngine(circuit)
         proved = set(engine.redundant_faults(faults))
         _merge_counters(counters, engine.counters, "proof_")
     else:
@@ -236,7 +232,6 @@ def grade_scenario(
         mode=mode,
         model=model,
         incremental=incremental,
-        prefilter=prefilter,
     )
     final = result.circuit
     _merge_counters(counters, result.counters, "kms_")

@@ -119,7 +119,7 @@ def net_enabled() -> bool:
     """Should the KMS loop run on the arena representation?
 
     True unless ``REPRO_NET_LEGACY`` is set to a non-empty, non-zero
-    value -- the env-level A/B switch mirroring ``REPRO_SIM_LEGACY``.
+    value -- the env-level A/B switch back to the object-graph path.
     """
     return os.environ.get(LEGACY_ENV, "") in ("", "0")
 

@@ -38,10 +38,10 @@ functions of circuit + pattern block, no wall-clock jitter -- kept both
 per kernel and process-globally so :class:`SimWorkTracker` can attribute
 them per engine stage exactly like the SAT solve-call counter.
 
-The legacy interpreted path stays available everywhere as the A/B
-oracle: set ``REPRO_SIM_LEGACY=1`` (or pass ``compiled=False`` where a
-consumer exposes it) and every consumer falls back to
-``simulate_packed`` / ``simulate_fault_packed``.
+Every simulation consumer runs this kernel.  The interpreted
+``simulate_packed`` / ``simulate_fault_packed`` pair stays as the test
+reference; the graded-simulation entry points that tests and benchmarks
+compare against it take ``compiled=False`` to run it.
 """
 
 from __future__ import annotations
@@ -74,27 +74,18 @@ except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
 
 #: Environment variable selecting the evaluation backend.
 BACKEND_ENV = "REPRO_SIM_BACKEND"
-#: Environment variable forcing the legacy interpreted path (A/B oracle).
-LEGACY_ENV = "REPRO_SIM_LEGACY"
 
 #: ``auto`` stays on Python ints up to one machine word; wider blocks
 #: amortize numpy's per-op overhead across many uint64 lanes.
 AUTO_NUMPY_MIN_WIDTH = 65
 
-#: The kernel's deterministic work counters, in canonical order.  The
-#: ``batch_*`` / ``*_batched`` / ``*_saved`` entries are bumped only by
-#: :class:`repro.sim.batch.BatchKernel` (the multi-circuit kernel) and
-#: stay zero on purely per-circuit runs.
+#: The kernel's deterministic work counters, in canonical order.
 WORK_COUNTERS = (
     "gate_evals_good",
     "gate_evals_faulty",
     "cone_cutoffs",
     "faults_dropped",
     "compile_rebuilds",
-    "batch_dispatches",
-    "circuits_per_dispatch",
-    "gate_evals_batched",
-    "python_loop_iters_saved",
 )
 
 _ALL_ONES = 0xFFFF_FFFF_FFFF_FFFF
@@ -118,7 +109,7 @@ _OPCODE = OPCODE
 
 
 # ---------------------------------------------------------------------- #
-# backend selection and legacy switch
+# backend selection
 # ---------------------------------------------------------------------- #
 
 def numpy_available() -> bool:
@@ -160,16 +151,6 @@ def resolve_backend(
     if _np is not None and (width or 0) >= AUTO_NUMPY_MIN_WIDTH:
         return "numpy"
     return "python"
-
-
-def kernel_enabled() -> bool:
-    """Should consumers route through the compiled kernel?
-
-    True unless ``REPRO_SIM_LEGACY`` is set to a non-empty, non-zero
-    value -- the env-level A/B switch mirroring ``kms(...,
-    incremental=False)``.
-    """
-    return os.environ.get(LEGACY_ENV, "") in ("", "0")
 
 
 # ---------------------------------------------------------------------- #

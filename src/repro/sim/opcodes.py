@@ -1,11 +1,10 @@
 """The one opcode table every packed-simulation path consumes.
 
-Three evaluators used to carry their own copy of the gate semantics:
-:func:`repro.sim.parallel.eval_gate_bits` (the interpreted oracle),
-:class:`repro.sim.kernel.CompiledCircuit` (the per-circuit compiled
-kernel), and -- since PR 9 -- :class:`repro.sim.batch.BatchKernel` (the
-multi-circuit batched kernel).  A truth-table divergence between them
-would silently break every A/B claim in the benchmarks, so the integer
+The evaluators used to carry their own copy of the gate semantics:
+:func:`repro.sim.parallel.eval_gate_bits` (the interpreted reference)
+and the compiled kernels of :mod:`repro.sim.kernel`.  A truth-table
+divergence between them would silently break every reference check in
+the tests and benchmarks, so the integer
 opcodes, the :class:`~repro.network.GateType` mapping, and the
 word-level evaluation function live here exactly once and everything
 else imports them.
@@ -49,15 +48,6 @@ OPCODE = {
     GateType.XOR: OP_XOR,
     GateType.XNOR: OP_XNOR,
 }
-
-#: Opcodes whose output is the complement of the base reduction -- the
-#: batch kernel dispatches the base op vectorized, then negates once.
-NEGATED = {OP_NAND: OP_AND, OP_NOR: OP_OR, OP_XNOR: OP_XOR, OP_NOT: OP_BUF}
-
-#: Per-opcode padding word for ragged fanin rows: the identity element
-#: of the reduction, so padding a short row never changes the result
-#: (all-ones for AND-family, zero for OR/XOR-family).
-PAD_IDENTITY_ONES = frozenset((OP_AND, OP_NAND))
 
 
 def eval_op_word(op: int, inputs: Sequence[int], mask: int) -> int:

@@ -2,9 +2,10 @@
 
 Packs W test patterns into the bits of Python integers so a whole pattern
 block is simulated with one bitwise operation per gate.  Python's
-arbitrary-precision ints make the word width a free parameter; the fault
-simulator and the random-vector equivalence checker both run on top of
-this.
+arbitrary-precision ints make the word width a free parameter.
+:func:`simulate_packed` is the interpreted reference that the compiled
+kernel (:mod:`repro.sim.kernel`), which every production consumer runs,
+is tested against.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ def eval_gate_bits(gtype: GateType, inputs: Sequence[int], mask: int) -> int:
     """Evaluate one gate over a packed word of patterns.
 
     Delegates to the shared opcode table (:mod:`repro.sim.opcodes`) so
-    the interpreted oracle, the compiled kernel, and the batch kernel
-    all evaluate through the same truth tables.
+    the interpreted reference and the compiled kernels evaluate through
+    the same truth tables.
     """
     op = OPCODE.get(gtype)
     if op is None or op == OP_INPUT:
@@ -92,7 +93,6 @@ def random_equivalence_check(
     patterns: int = 4096,
     seed: int = 0,
     width: int = 256,
-    compiled: Optional[bool] = None,
 ) -> Optional[Dict[str, int]]:
     """Random-vector equivalence filter.
 
@@ -102,11 +102,9 @@ def random_equivalence_check(
     fast pre-filter and a cross-check that runs on any size of circuit.
 
     Both circuits are compiled once (:mod:`repro.sim.kernel`) and every
-    pattern chunk reuses the schedules; ``compiled=False`` (or the
-    ``REPRO_SIM_LEGACY`` environment variable) forces the interpreted
-    per-call path as the A/B oracle.
+    pattern chunk reuses the schedules.
     """
-    from .kernel import get_compiled, kernel_enabled
+    from .kernel import get_compiled
 
     a_pis = {a.gates[g].name: g for g in a.inputs}
     b_pis = {b.gates[g].name: g for g in b.inputs}
@@ -116,9 +114,8 @@ def random_equivalence_check(
     b_pos = {b.gates[g].name: g for g in b.outputs}
     if set(a_pos) != set(b_pos):
         raise ValueError("PO name sets differ")
-    use_kernel = kernel_enabled() if compiled is None else compiled
-    kern_a = get_compiled(a) if use_kernel else None
-    kern_b = get_compiled(b) if use_kernel else None
+    kern_a = get_compiled(a)
+    kern_b = get_compiled(b)
     rng = random.Random(seed)
     names = sorted(a_pis)
     remaining = patterns
@@ -128,12 +125,8 @@ def random_equivalence_check(
         words = {n: rng.getrandbits(w) for n in names}
         pa = {a_pis[n]: words[n] for n in names}
         pb = {b_pis[n]: words[n] for n in names}
-        if use_kernel:
-            va = kern_a.evaluate(pa, w)
-            vb = kern_b.evaluate(pb, w)
-        else:
-            va = simulate_packed(a, pa, w)
-            vb = simulate_packed(b, pb, w)
+        va = kern_a.evaluate(pa, w)
+        vb = kern_b.evaluate(pb, w)
         for name in a_pos:
             diff = va[a_pos[name]] ^ vb[b_pos[name]]
             if diff:

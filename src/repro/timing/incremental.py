@@ -155,21 +155,15 @@ class IncrementalTiming:
 
         The witness simulation routes through the compiled kernel
         (:mod:`repro.sim.kernel`) -- the schedule is compiled once and
-        recompiled only when :meth:`refresh` reports structural edits;
-        ``REPRO_SIM_LEGACY`` forces the interpreted ``simulate_packed``
-        as the A/B oracle.  Either path is bit-identical.
+        recompiled only when :meth:`refresh` reports structural edits.
         """
         rng = random.Random((self.seed << 20) ^ self._iteration)
-        from ..sim import get_compiled, kernel_enabled, random_packed_inputs
-        from ..sim import simulate_packed
+        from ..sim import get_compiled, random_packed_inputs
 
         packed = random_packed_inputs(self.circuit, PREFILTER_WIDTH, rng)
-        if kernel_enabled():
-            self._sim = get_compiled(self.circuit).evaluate(
-                packed, PREFILTER_WIDTH
-            )
-        else:
-            self._sim = simulate_packed(self.circuit, packed, PREFILTER_WIDTH)
+        self._sim = get_compiled(self.circuit).evaluate(
+            packed, PREFILTER_WIDTH
+        )
         self._oracle = None
         self._annotation = None
         self._iteration += 1

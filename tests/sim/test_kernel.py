@@ -2,15 +2,19 @@
 
 import pytest
 
-from repro.atpg import collapsed_faults, stem_fault
-from repro.circuits import random_circuit
+from repro.atpg import (
+    collapsed_faults,
+    fault_coverage,
+    random_vectors,
+    stem_fault,
+)
+from repro.circuits import carry_skip_adder, random_circuit
 from repro.network import GateType
 from repro.sim import (
     CompiledAig,
     CompiledCircuit,
     SimWorkTracker,
     get_compiled,
-    kernel_enabled,
     refresh_compiled,
     resolve_backend,
     simulate_packed,
@@ -52,15 +56,6 @@ def test_forcing_numpy_without_numpy_raises(monkeypatch):
     monkeypatch.setattr(kernel_mod, "_np", None)
     with pytest.raises(RuntimeError):
         resolve_backend("numpy", 64)
-
-
-def test_kernel_enabled_env(monkeypatch):
-    monkeypatch.delenv(kernel_mod.LEGACY_ENV, raising=False)
-    assert kernel_enabled()
-    monkeypatch.setenv(kernel_mod.LEGACY_ENV, "1")
-    assert not kernel_enabled()
-    monkeypatch.setenv(kernel_mod.LEGACY_ENV, "0")
-    assert kernel_enabled()
 
 
 # ---------------------------------------------------------------------- #
@@ -208,6 +203,23 @@ def test_note_dropped_accumulates(and_or_circuit):
     kern.note_dropped(3)
     kern.note_dropped(0)
     assert kern.counters()["faults_dropped"] == 3
+
+
+def test_every_work_counter_moves_on_grade_mutate_grade():
+    """No dead counters: grading a circuit, mutating it and grading it
+    again charges every name in WORK_COUNTERS."""
+    c = carry_skip_adder(nbits=2, block_size=2)
+    tracker = SimWorkTracker()
+    fault_coverage(c, collapsed_faults(c), random_vectors(c, 64, seed=1))
+    inv = c.add_gate(GateType.NOT, 1.0, name="inv")
+    c.connect(c.inputs[0], inv)
+    c.add_output("inv_o", inv)
+    fault_coverage(c, collapsed_faults(c), random_vectors(c, 64, seed=2))
+    counters = tracker.counters
+    assert tuple(counters) == kernel_mod.WORK_COUNTERS
+    assert all(counters.values()), counters
+    # one compile for the first grade, one recompile after the mutation
+    assert counters["compile_rebuilds"] == 2
 
 
 # ---------------------------------------------------------------------- #

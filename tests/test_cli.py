@@ -56,6 +56,19 @@ def test_atpg_command(csa_blif, capsys):
     assert "fault coverage" in captured
 
 
+def test_atpg_prints_every_sim_work_counter(csa_blif, capsys):
+    from repro.sim.kernel import WORK_COUNTERS
+
+    assert main(["atpg", str(csa_blif), "--tests"]) == 0
+    (line,) = [
+        ln for ln in capsys.readouterr().err.splitlines()
+        if ln.startswith("sim kernel work")
+    ]
+    pairs = line.split(":", 1)[1].split(",")
+    names = tuple(pair.split("=")[0].strip() for pair in pairs)
+    assert names == WORK_COUNTERS
+
+
 def test_table1_quick(capsys):
     assert main(["table1", "--which", "csa", "--quick"]) == 0
     captured = capsys.readouterr().out
