@@ -31,13 +31,12 @@ from repro.fuzz import campaign_specs, grade_scenario
 #: repro.fuzz.grade: proof_* = ProofEngine classification of the planted
 #: list, kms_* = the KMS run over the planted circuit).
 GATED_COUNTERS = (
-    "proof_podem_calls",
-    "proof_podem_backtracks",
+    "proof_random_words",
     "proof_sat_proofs",
     "proof_tseitin_builds",
     "proof_faults_requalified",
     "kms_iterations",
-    "kms_podem_calls",
+    "kms_random_words",
     "kms_sat_proofs",
     "kms_tseitin_builds",
     "kms_paths_enumerated",

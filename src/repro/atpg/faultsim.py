@@ -287,7 +287,15 @@ def random_vectors(
     circuit: Circuit, count: int, seed: int = 0
 ) -> List[Dict[int, int]]:
     """Uniform random test vectors."""
-    rng = random.Random(seed)
+    return draw_vectors(circuit, random.Random(seed), count)
+
+
+def draw_vectors(
+    circuit: Circuit, rng: random.Random, count: int
+) -> List[Dict[int, int]]:
+    """The next ``count`` uniform random vectors of ``rng``'s stream, so
+    a stream drawn in several steps yields the same vectors as one
+    :func:`random_vectors` call of the total size."""
     return [
         {gid: rng.getrandbits(1) for gid in circuit.inputs}
         for _ in range(count)

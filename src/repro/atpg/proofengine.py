@@ -7,53 +7,62 @@ over on a circuit that changes only a little between questions.  The
 from-scratch funnel in :mod:`repro.atpg.satatpg` restarts completely
 each time: re-enumerate the fault universe, re-roll the same random
 vectors, re-run PODEM on every suspect, rebuild a full Tseitin CNF per
-SAT proof.  This engine keeps all of that state alive across removals,
-in the style of Teslenko--Dubrova's cone-limited redundancy removal:
+SAT proof.  This engine keeps all of that state alive across removals
+and answers simulation first, in the style of Teslenko--Dubrova's
+cone-limited redundancy removal:
 
-* **Verdict carry-over.**  A fault's testability classification is a
-  function of the fanin closure of its fanout cone (the gates that can
-  excite it plus everything its effect can reach and every side signal
-  feeding that region).  After :func:`repro.atpg.redundancy.remove_fault`
-  reports its touched-gate set (the PR-3 transform contract), only
-  faults whose anchor gate lies inside ``fanin*(fanout*(touched))`` are
-  re-qualified; every other verdict -- including the PODEM
-  aborted-vs-untestable distinction, which is a deterministic function
-  of the unchanged region -- carries over to the next epoch.
+* **Adaptive random pool.**  Bit-parallel random simulation through
+  the compiled kernel discharges every fault it can.  The pool is one
+  seeded ``random.Random(seed)`` stream whose first ``patterns``
+  vectors are exactly ``random_vectors(circuit, patterns, seed)``.
+  After an epoch grades its pending faults against the pool, further
+  64-vector words are drawn from the same stream and graded against
+  the survivors: a word that detects at least one survivor joins the
+  pool, and the first word that detects nothing ends the growth.  The
+  stop rule is that measurement, so there is no size cap.
 
-* **One incremental SAT solver per epoch.**  The good circuit is
-  Tseitin-encoded once per circuit version into a single
-  :class:`repro.sat.Solver`; each hard fault adds only its faulty
-  fanout cone, every clause gated by a fresh activation literal, and is
-  decided by ``solve(assumptions=(act,))``.  Retired queries are
-  disabled with a root-level ``(-act)`` unit, and the solver's
-  size-capped learned-clause deletion keeps the database bounded.
+* **SAT for every survivor.**  The good circuit is Tseitin-encoded
+  once per circuit version into a single :class:`repro.sat.Solver`;
+  each surviving fault adds only its faulty fanout cone, every clause
+  gated by a fresh activation literal, and is decided by
+  ``solve(assumptions=(act,))``.  Retired queries are disabled with a
+  root-level ``(-act)`` unit, and the solver's size-capped
+  learned-clause deletion keeps the database bounded.
 
-* **Witness feedback.**  Every testability witness (a PODEM cube or a
-  SAT model) is completed to a full vector, pushed through the PR-4
-  compiled kernel's event-driven fault grading to drop other suspects
-  in the same epoch, and accumulated into the vector pool so later
-  epochs start from every test discovered so far instead of re-rolling
-  ``random_vectors(seed=7)``.
+* **Verdict carry-over.**  A fault's testability is a function of the
+  fanin closure of its fanout cone (the gates that can excite it plus
+  everything its effect can reach and every side signal feeding that
+  region).  After :func:`repro.atpg.redundancy.remove_fault` reports its
+  touched-gate set (the transform contract), only faults whose
+  anchor gate lies inside ``fanin*(fanout*(touched))`` are
+  re-qualified; every other verdict carries over to the next epoch.
+
+* **Witness feedback.**  Every SAT model is completed to a full vector,
+  pushed through the compiled kernel's event-driven fault grading to
+  drop other unresolved faults in the same epoch, and appended to the
+  pool, so later epochs start from every test found so far.
 
 * **Optional proof sharding.**  Full-universe classification can shard
-  the surviving hard-fault proofs across a ``ProcessPoolExecutor``
+  the survivors' SAT proofs across a ``ProcessPoolExecutor``
   (``jobs``), shipping circuits as primitive dicts the way
   :mod:`repro.engine.runner` does and merging verdicts in deterministic
   submission order.
 
-The engine is *bit-identical* to the from-scratch oracle: the removal
-loop picks the same fault at every step (first PODEM-proven untestable
-fault in collapsed order, else the first SAT-proven one among the PODEM
-aborts) and full classification returns the same verdict list, because
-simulation can only ever reclassify testable faults and the
-PODEM/SAT verdict classes are invariant on untouched regions.  The
-deterministic work counters -- exact functions of circuit + seed -- are
-exported through :class:`repro.core.kms.KmsResult`, engine telemetry,
-and the CLI, and gate the ``atpg`` row of the ``perf-gate`` CI job.
+The removal loop picks the *first untestable fault in collapsed order*.
+That rule is a function of the circuit alone -- simulation only ever
+discharges testable faults and SAT is complete -- so the pool size,
+seed and witness history change how much work a step costs, never
+which fault it removes.  The from-scratch oracle applies the same rule
+with PODEM plus a SAT fallback, so engine and oracle take identical steps.
+The deterministic work counters -- exact functions of circuit + seed --
+are exported through :class:`repro.core.kms.KmsResult`, engine
+telemetry, and the CLI, and gate the ``atpg`` row of the ``perf-gate``
+CI job.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..network import Circuit
@@ -62,21 +71,18 @@ from ..sim.kernel import refresh_compiled
 from .faults import CONN, Fault, anchor_gate, collapsed_faults
 from .faultsim import (
     PackedCorpus,
+    VectorsArg,
     complete_vector,
+    draw_vectors,
     fault_coverage,
-    random_vectors,
 )
-from .podem import Podem, Status
 
-#: Verdict classes.  ``HARD`` means PODEM aborted and SAT has not been
-#: consulted yet -- the classification every oracle iteration would also
-#: reach before its SAT stage.
+#: Verdict classes.
 TESTABLE = "testable"
-PODEM_UNTESTABLE = "podem_untestable"
-HARD = "hard"
-HARD_UNTESTABLE = "hard_untestable"
+UNTESTABLE = "untestable"
 
-_UNTESTABLE = (PODEM_UNTESTABLE, HARD_UNTESTABLE)
+#: Vectors per adaptive growth step: one 64-lane simulation word.
+WORD = 64
 
 #: Deterministic work counters the engine exports (telemetry glossary in
 #: :mod:`repro.engine.telemetry`; CI gate in
@@ -88,9 +94,7 @@ PROOF_COUNTERS = (
     "cnf_reuses",
     "sat_proofs",
     "tseitin_builds",
-    "podem_calls",
-    "podem_backtracks",
-    "podem_aborts",
+    "random_words",
     "learned_kept",
     "learned_dropped",
 )
@@ -135,28 +139,27 @@ class ProofEngine:
 
     Args:
         circuit: the live circuit (mutated in place by :meth:`remove`).
-        backtrack_limit: PODEM backtrack budget per fault (the funnel's
-            classic ``100``; raising it trades SAT proofs for search).
-        patterns: size of the seeded random-vector pool.
-        seed: seed for the initial random vectors (the oracle's ``7``).
-        jobs: when > 1, :meth:`redundant_faults` shards hard-fault SAT
-            proofs across that many worker processes.
+        patterns: size of the initial seeded random-vector pool; the
+            pool then grows one 64-vector word at a time while words
+            keep detecting survivors.
+        seed: seed of the random-vector stream (the oracle's ``7``).
+        jobs: when > 1, :meth:`redundant_faults` shards the survivors'
+            SAT proofs across that many worker processes.
     """
 
     def __init__(
         self,
         circuit: Circuit,
-        backtrack_limit: int = 100,
         patterns: int = 64,
         seed: int = 7,
         jobs: Optional[int] = None,
     ) -> None:
         self.circuit = circuit
-        self.backtrack_limit = backtrack_limit
         self.jobs = jobs
         self.counters: Dict[str, int] = {name: 0 for name in PROOF_COUNTERS}
         self._verdicts: Dict[Fault, str] = {}
-        self._vectors = random_vectors(circuit, patterns, seed)
+        self._rng = random.Random(seed)
+        self._vectors = draw_vectors(circuit, self._rng, patterns)
         # hoisted packing of the vector pool, rebuilt when the pool
         # grows or the circuit's PI set changes (see PackedCorpus)
         self._corpus: Optional[PackedCorpus] = None
@@ -203,15 +206,15 @@ class ProofEngine:
         return touched
 
     # ------------------------------------------------------------------ #
-    # classification
+    # simulation
     # ------------------------------------------------------------------ #
 
     def _prepare_epoch(
         self, faults: Optional[Sequence[Fault]]
-    ) -> Tuple[List[Fault], Podem]:
+    ) -> List[Fault]:
         """Start an epoch: enumerate the universe, carry cached
-        verdicts, and simulation-prefilter the rest against the
-        accumulated vector pool."""
+        verdicts, grade the rest against the vector pool, and grow the
+        pool one word at a time until a word detects no survivor."""
         universe = (
             list(faults)
             if faults is not None
@@ -221,20 +224,35 @@ class ProofEngine:
         self.counters["verdicts_carried"] += len(universe) - len(pending)
         self.counters["faults_requalified"] += len(pending)
         if pending and self._vectors:
-            report = fault_coverage(
-                self.circuit, pending, self._vector_corpus()
-            )
-            undetected = set(report.undetected_faults)
-            for f in pending:
-                if f not in undetected:
-                    self._verdicts[f] = TESTABLE
-        podem = Podem(self.circuit, backtrack_limit=self.backtrack_limit)
-        return universe, podem
+            pending = self._grade(pending, self._vector_corpus())
+        while pending:
+            word = draw_vectors(self.circuit, self._rng, WORD)
+            self.counters["random_words"] += 1
+            survivors = self._grade(pending, word)
+            if len(survivors) == len(pending):
+                break
+            self._vectors.extend(word)
+            pending = survivors
+        return universe
+
+    def _grade(
+        self, faults: List[Fault], vectors: VectorsArg
+    ) -> List[Fault]:
+        """Mark every fault ``vectors`` detect testable; return the
+        undetected rest."""
+        survivors = fault_coverage(
+            self.circuit, faults, vectors
+        ).undetected_faults
+        undetected = set(survivors)
+        for f in faults:
+            if f not in undetected:
+                self._verdicts[f] = TESTABLE
+        return survivors
 
     def _vector_corpus(self) -> PackedCorpus:
         """The vector pool packed once and reused across epochs --
-        rebuilt only when a witness extended the pool or the circuit's
-        PI gid set changed since packing."""
+        rebuilt only when the pool grew or the circuit's PI gid set
+        changed since packing."""
         corpus = self._corpus
         if (
             corpus is None
@@ -245,47 +263,18 @@ class ProofEngine:
             self._corpus = corpus
         return corpus
 
-    def _qualify_podem(
-        self, podem: Podem, fault: Fault, universe: Sequence[Fault]
-    ) -> str:
-        """PODEM stage for one unresolved fault; testable witnesses are
-        fed back to drop other suspects."""
-        result = podem.generate(fault)
-        self.counters["podem_calls"] += 1
-        self.counters["podem_backtracks"] += result.backtracks
-        if result.status is Status.UNTESTABLE:
-            verdict = PODEM_UNTESTABLE
-        elif result.status is Status.ABORTED:
-            self.counters["podem_aborts"] += 1
-            verdict = HARD
-        else:
-            verdict = TESTABLE
-        self._verdicts[fault] = verdict
-        if verdict == TESTABLE:
-            self._absorb_witness(result.test, universe)
-        return verdict
-
     def _absorb_witness(
         self, cube: Dict[int, int], universe: Sequence[Fault]
     ) -> None:
         """Accumulate a testability witness and grade every unresolved
-        (or still SAT-pending) suspect against it through the compiled
-        kernel's event-driven fault simulation."""
-        vector = complete_vector(self.circuit, cube or {})
+        fault against it through the compiled kernel's event-driven
+        fault simulation."""
+        vector = complete_vector(self.circuit, cube)
         self._vectors.append(vector)
-        targets = [
-            f
-            for f in universe
-            if self._verdicts.get(f) in (None, HARD)
-        ]
-        if not targets:
-            return
-        report = fault_coverage(self.circuit, targets, [vector])
-        undetected = set(report.undetected_faults)
-        for f in targets:
-            if f not in undetected:
-                self._verdicts[f] = TESTABLE
-                self.counters["witness_drops"] += 1
+        targets = [f for f in universe if f not in self._verdicts]
+        if targets:
+            drops = len(targets) - len(self._grade(targets, [vector]))
+            self.counters["witness_drops"] += drops
 
     # ------------------------------------------------------------------ #
     # the epoch SAT solver
@@ -330,7 +319,7 @@ class ProofEngine:
         )
 
     def _sat_qualify(self, fault: Fault, universe: Sequence[Fault]) -> str:
-        """Complete decision for one PODEM-aborted fault on the epoch
+        """Complete decision for one simulation survivor on the epoch
         solver: encode the faulty fanout cone under an activation
         literal, solve under assumption, retire the literal."""
         solver = self._epoch_solver()
@@ -343,8 +332,8 @@ class ProofEngine:
         self.counters["sat_proofs"] += 1
         self._harvest_solver_stats()
         if not testable:
-            self._verdicts[fault] = HARD_UNTESTABLE
-            return HARD_UNTESTABLE
+            self._verdicts[fault] = UNTESTABLE
+            return UNTESTABLE
         self._verdicts[fault] = TESTABLE
         cube = {
             gid: int(model.get(self._good_var[gid], False))
@@ -358,28 +347,17 @@ class ProofEngine:
     # ------------------------------------------------------------------ #
 
     def next_redundant(self) -> Optional[Fault]:
-        """The fault the from-scratch oracle iteration would remove now.
-
-        Scan the collapsed universe in deterministic order: the first
-        PODEM-proven untestable fault wins; only if none exists are the
-        PODEM aborts handed to SAT, first proof wins.  Returns ``None``
-        when the circuit is irredundant.
-        """
-        universe, podem = self._prepare_epoch(None)
-        hard: List[Fault] = []
+        """The first untestable fault of the collapsed universe, in its
+        deterministic order, or ``None`` when the circuit is
+        irredundant.  Faults the pool leaves unresolved go to SAT in
+        scan order; the scan stops at the first proof of
+        untestability."""
+        universe = self._prepare_epoch(None)
         for fault in universe:
             verdict = self._verdicts.get(fault)
             if verdict is None:
-                verdict = self._qualify_podem(podem, fault, universe)
-            if verdict == PODEM_UNTESTABLE:
-                return fault
-            if verdict in (HARD, HARD_UNTESTABLE):
-                hard.append(fault)
-        for fault in hard:
-            verdict = self._verdicts[fault]
-            if verdict == HARD:
                 verdict = self._sat_qualify(fault, universe)
-            if verdict == HARD_UNTESTABLE:
+            if verdict == UNTESTABLE:
                 return fault
         return None
 
@@ -389,19 +367,16 @@ class ProofEngine:
         """All untestable faults from ``faults`` (default: the collapsed
         universe), classifying every fault -- the full-verdict
         counterpart of :func:`repro.atpg.satatpg.redundant_faults`."""
-        universe, podem = self._prepare_epoch(faults)
-        for fault in universe:
-            if self._verdicts.get(fault) is None:
-                self._qualify_podem(podem, fault, universe)
-        hard = [f for f in universe if self._verdicts[f] == HARD]
-        if hard and self.jobs and self.jobs > 1:
-            self._sat_qualify_sharded(hard)
+        universe = self._prepare_epoch(faults)
+        survivors = [f for f in universe if f not in self._verdicts]
+        if survivors and self.jobs and self.jobs > 1:
+            self._sat_qualify_sharded(survivors)
         else:
-            for fault in hard:
-                if self._verdicts[fault] == HARD:
+            for fault in survivors:
+                if fault not in self._verdicts:
                     self._sat_qualify(fault, universe)
         redundant = [
-            f for f in universe if self._verdicts[f] in _UNTESTABLE
+            f for f in universe if self._verdicts[f] == UNTESTABLE
         ]
         redundant.sort(key=lambda f: (f.kind, f.site, f.value))
         return redundant
@@ -410,11 +385,11 @@ class ProofEngine:
         return not self.redundant_faults()
 
     # ------------------------------------------------------------------ #
-    # parallel hard-fault sharding
+    # parallel survivor sharding
     # ------------------------------------------------------------------ #
 
-    def _sat_qualify_sharded(self, hard: Sequence[Fault]) -> None:
-        """Shard hard-fault proofs across a process pool.
+    def _sat_qualify_sharded(self, survivors: Sequence[Fault]) -> None:
+        """Shard the survivors' SAT proofs across a process pool.
 
         Circuits travel as primitive dicts and verdicts merge in
         deterministic submission order (the :mod:`repro.engine.runner`
@@ -426,8 +401,8 @@ class ProofEngine:
         from ..engine.serialize import circuit_to_dict
 
         payload = circuit_to_dict(self.circuit)
-        jobs = min(self.jobs or 1, len(hard))
-        chunks = [list(hard[i::jobs]) for i in range(jobs)]
+        jobs = min(self.jobs or 1, len(survivors))
+        chunks = [list(survivors[i::jobs]) for i in range(jobs)]
         specs = [
             [(f.kind, f.site, f.value) for f in chunk] for chunk in chunks
         ]
@@ -440,7 +415,7 @@ class ProofEngine:
         for chunk, verdicts in zip(chunks, results):
             for fault, testable in zip(chunk, verdicts):
                 self._verdicts[fault] = (
-                    TESTABLE if testable else HARD_UNTESTABLE
+                    TESTABLE if testable else UNTESTABLE
                 )
                 self.counters["sat_proofs"] += 1
 
@@ -517,7 +492,7 @@ def _prove_on_solver(
 def _prove_chunk_worker(
     circuit_dict: Dict, fault_specs: List[Tuple[str, int, int]]
 ) -> List[bool]:
-    """Process-pool worker: decide a chunk of hard faults.
+    """Process-pool worker: decide a chunk of surviving faults.
 
     Rebuilds the circuit from primitives, encodes the good circuit once,
     and answers each fault on the shared worker-local solver -- the same

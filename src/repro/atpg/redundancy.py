@@ -12,16 +12,20 @@ next removal (removal can create or destroy other redundancies).  The
 order is arbitrary -- which is exactly why it can destroy carry-skip
 speed, the effect the KMS benches quantify.
 
-Two drivers implement the loop:
+Both implementations of the loop remove the first untestable fault in
+collapsed order at every step:
 
 * ``incremental=True`` (default): the persistent
-  :class:`repro.atpg.proofengine.ProofEngine`, which carries verdicts
-  across removals, keeps one assumption-gated SAT solver per epoch, and
-  feeds every witness back through the compiled simulation kernel.
-* ``incremental=False``: the from-scratch funnel below, kept verbatim
-  as the A/B oracle.  Both take bit-identical decisions; the property
-  suite (``tests/atpg/test_proofengine_property.py``) and the
-  ``atpg`` perf-gate CI row enforce it.
+  :class:`repro.atpg.proofengine.ProofEngine` -- simulate, then SAT.
+  It grows a random pool until a word stops detecting anything, sends
+  every survivor to one assumption-gated SAT solver per epoch, carries
+  verdicts across removals, and feeds every witness back into the pool.
+* ``incremental=False``: the from-scratch funnel below, kept as the A/B
+  oracle.  It settles the 64-vector survivors with PODEM and hands each
+  PODEM abort to SAT at once, in scan order.  Both take bit-identical
+  decisions; the property suite
+  (``tests/atpg/test_proofengine_property.py``) and the ``atpg``
+  perf-gate CI row enforce it.
 """
 
 from __future__ import annotations
@@ -37,6 +41,11 @@ from ..network.transform import (
 )
 from .faults import CONN, Fault, collapsed_faults
 from .satatpg import SatAtpg
+
+#: PODEM effort of the from-scratch oracle, reported next to the
+#: :data:`repro.atpg.proofengine.PROOF_COUNTERS` in its
+#: :class:`RemovalResult` (the proof engine runs no PODEM).
+ORACLE_COUNTERS = ("podem_calls", "podem_backtracks", "podem_aborts")
 
 
 @dataclass
@@ -119,9 +128,9 @@ def _next_redundant_scratch(
     patterns: int,
     counters: Dict[str, int],
 ) -> Optional[Fault]:
-    """One from-scratch oracle iteration: the first PODEM-proven
-    untestable suspect in collapsed order, else the first SAT-proven
-    one among the PODEM aborts."""
+    """One from-scratch oracle iteration: the first untestable suspect
+    in collapsed order.  PODEM settles each suspect; an abort goes to
+    SAT at once, in scan order."""
     from .podem import Podem, Status
 
     universe = collapsed_faults(work)
@@ -129,27 +138,25 @@ def _next_redundant_scratch(
     counters["faults_requalified"] += len(universe)
     suspects = _undetected_by_random(work, universe, patterns=patterns)
     podem = Podem(work, backtrack_limit=backtrack_limit)
-    hard: List[Fault] = []
+    sat: Optional[SatAtpg] = None
     fault: Optional[Fault] = None
     for candidate in suspects:
-        result = podem.generate(candidate)
-        if result.status is Status.UNTESTABLE:
+        status = podem.generate(candidate).status
+        if status is Status.ABORTED:
+            if sat is None:
+                sat = SatAtpg(work)
+                counters["tseitin_builds"] += 1
+            counters["sat_proofs"] += 1
+            counters["tseitin_builds"] += 1  # fresh faulty CNF per query
+            untestable = sat.is_redundant(candidate)
+        else:
+            untestable = status is Status.UNTESTABLE
+        if untestable:
             fault = candidate
             break
-        if result.status is Status.ABORTED:
-            hard.append(candidate)
     counters["podem_calls"] += podem.stats["calls"]
     counters["podem_backtracks"] += podem.stats["backtracks"]
     counters["podem_aborts"] += podem.stats["aborts"]
-    if fault is None and hard:
-        engine = SatAtpg(work)
-        counters["tseitin_builds"] += 1
-        for candidate in hard:
-            counters["sat_proofs"] += 1
-            counters["tseitin_builds"] += 1  # fresh faulty CNF per query
-            if engine.is_redundant(candidate):
-                fault = candidate
-                break
     return fault
 
 
@@ -174,11 +181,15 @@ def remove_redundancies(
     result holds the transformed copy.
 
     ``incremental`` selects the persistent proof engine (default) or the
-    from-scratch oracle; both remove the same faults in the same order
-    for any shared ``backtrack_limit`` (the PODEM budget per fault, the
-    funnel's classic 100) and ``patterns`` (random-prefilter pool size).
-    ``jobs`` shards hard-fault proofs in the ``choose`` path's full
-    classifications (serial otherwise).
+    from-scratch oracle.  In the default mode both remove the first
+    untestable fault in collapsed order at every step, so they take the
+    same steps whatever ``patterns`` (the initial random pool; the
+    engine grows its pool adaptively from there) and
+    ``backtrack_limit`` are.  ``backtrack_limit`` is the oracle's PODEM
+    budget per fault (the funnel's classic 100) and feeds only the
+    oracle: the proof engine runs no PODEM.  ``jobs`` shards the
+    survivors' SAT proofs in the ``choose`` path's full classifications
+    (serial otherwise).
     """
     work = circuit.copy(f"{circuit.name}#irr")
     # Removal mutates `work` heavily (one remove + kernel refresh +
@@ -194,17 +205,12 @@ def remove_redundancies(
     if incremental:
         from .proofengine import ProofEngine
 
-        engine = ProofEngine(
-            work,
-            backtrack_limit=backtrack_limit,
-            patterns=patterns,
-            jobs=jobs,
-        )
+        engine = ProofEngine(work, patterns=patterns, jobs=jobs)
         counters = engine.counters
     else:
         from .proofengine import PROOF_COUNTERS
 
-        counters = {name: 0 for name in PROOF_COUNTERS}
+        counters = dict.fromkeys(PROOF_COUNTERS + ORACLE_COUNTERS, 0)
     for _ in range(max_iterations):
         if choose is not None:
             if engine is not None:

@@ -1,10 +1,14 @@
 """SAT-based ATPG: an independent, complete test-generation engine.
 
 A fault is testable iff the miter between the good circuit and the
-fault-injected circuit is satisfiable; the model is a test vector.  This
-is the engine the KMS driver uses for redundancy identification by
-default -- UNSAT is an airtight untestability proof -- while PODEM is
-kept as the classic algorithm and as a cross-check.
+fault-injected circuit is satisfiable; the model is a test vector.
+UNSAT is an airtight untestability proof.  The proof engine
+(:mod:`repro.atpg.proofengine`) decides every fault its random pool
+leaves unresolved with the same miter, built incrementally on one
+assumption-gated solver per circuit version.  :class:`SatAtpg` is the
+from-scratch form of that miter: the fallback for PODEM aborts in the
+oracle funnel and in test generation, and a cross-check in the test
+suite.
 """
 
 from __future__ import annotations
@@ -82,21 +86,23 @@ def redundant_faults(
 ) -> List[Fault]:
     """All untestable faults from the given list (default: collapsed).
 
-    Exact result via a three-stage funnel, cheapest engine first:
+    ``incremental`` (default) routes through the persistent
+    :class:`repro.atpg.proofengine.ProofEngine`: simulate, then SAT.
+    Random patterns (a pool grown until a 64-vector word detects
+    nothing new) discharge the testable majority, and every survivor
+    is decided on one shared assumption-gated solver, with witness
+    feedback between survivors and optional proof sharding across
+    ``jobs`` worker processes.
+
+    ``False`` keeps the from-scratch funnel below as the A/B oracle,
+    cheapest engine first:
 
     1. random-pattern fault simulation -- anything detected is testable;
     2. PODEM with a backtrack budget -- structural guidance finds tests
-       (or completes untestability proofs) orders of magnitude faster
-       than SAT on sparse functions;
-    3. SAT-ATPG for the rare PODEM aborts -- a complete decision either
-       way.
+       (or completes untestability proofs) quickly on sparse functions;
+    3. SAT-ATPG for the PODEM aborts -- a complete decision either way.
 
-    ``incremental`` (default) routes through the persistent
-    :class:`repro.atpg.proofengine.ProofEngine` -- one shared
-    assumption-gated solver for every hard fault, witness feedback
-    between suspects, optional proof sharding across ``jobs`` worker
-    processes -- and returns the identical verdict list.  ``False``
-    keeps the from-scratch funnel below as the A/B oracle.
+    Both return the identical verdict list.
     """
     from .faults import collapsed_faults
     from .podem import Podem, Status

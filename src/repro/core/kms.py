@@ -92,9 +92,10 @@ class KmsResult:
     #: paths_enumerated, viability_checks_exact,
     #: viability_checks_prefiltered, cube_cache_hits, paths_capped,
     #: plus the cleanup phase's redundancy-proof counters listed in
-    #: :data:`repro.atpg.proofengine.PROOF_COUNTERS`); the engine
-    #: exports these through telemetry and the CI perf gates compare
-    #: them against the committed baselines.
+    #: :data:`repro.atpg.proofengine.PROOF_COUNTERS`, and with
+    #: ``incremental=False`` the oracle's ``podem_*`` effort); the
+    #: engine exports these through telemetry and the CI perf gates
+    #: compare them against the committed baselines.
     counters: Dict[str, float] = field(default_factory=dict)
 
     @property

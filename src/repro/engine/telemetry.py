@@ -61,16 +61,20 @@ none of them.
 
 ``atpg`` stage records -- and ``kms`` records, via the cleanup phase --
 carry the redundancy-proof engine's counters
-(:data:`repro.atpg.proofengine.PROOF_COUNTERS`, see ``docs/ATPG.md``):
+(:data:`repro.atpg.proofengine.PROOF_COUNTERS`, see ``docs/ATPG.md``).
+The engine works simulate-then-SAT:
 ``faults_requalified`` / ``verdicts_carried`` (faults re-proved from
 scratch vs served from the verdict cache after a removal),
-``witness_drops`` (suspects settled by replaying another fault's test
-witness through the compiled kernel), ``cnf_reuses`` /
+``random_words`` (64-vector random words the adaptive pool drew,
+including each epoch's word that detected nothing and stopped the
+growth), ``witness_drops`` (unresolved faults settled by replaying a
+SAT witness through the compiled kernel), ``cnf_reuses`` /
 ``tseitin_builds`` (epoch SAT solvers reused vs freshly encoded),
-``sat_proofs`` (assumption-gated SAT qualifications),
-``podem_calls`` / ``podem_backtracks`` / ``podem_aborts`` (branch-and-
-bound effort and budget exhaustions), and ``learned_kept`` /
-``learned_dropped`` (epoch-solver learned-clause retention).  Exact
+``sat_proofs`` (assumption-gated SAT qualifications of random-pool
+survivors), and ``learned_kept`` / ``learned_dropped`` (epoch-solver
+learned-clause retention).  The from-scratch oracle
+(``incremental=False``) reports the same names plus its PODEM effort,
+``podem_calls`` / ``podem_backtracks`` / ``podem_aborts``.  Exact
 functions of circuit + seed, gated by
 ``benchmarks/compare_baseline.py`` against the committed
 ``BENCH_atpg_baseline.json``.

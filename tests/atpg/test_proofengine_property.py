@@ -94,10 +94,6 @@ def test_sharded_classification_matches_serial():
         circuit = random_redundant_circuit(
             num_inputs=5, num_gates=15, seed=seed
         )
-        serial = ProofEngine(
-            circuit, backtrack_limit=0, patterns=1
-        ).redundant_faults()
-        sharded = ProofEngine(
-            circuit, backtrack_limit=0, patterns=1, jobs=4
-        ).redundant_faults()
+        serial = ProofEngine(circuit, patterns=1).redundant_faults()
+        sharded = ProofEngine(circuit, patterns=1, jobs=4).redundant_faults()
         assert serial == sharded

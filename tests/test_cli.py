@@ -69,6 +69,19 @@ def test_atpg_prints_every_sim_work_counter(csa_blif, capsys):
     assert names == WORK_COUNTERS
 
 
+def test_atpg_prints_every_proof_counter(csa_blif, capsys):
+    from repro.atpg import PROOF_COUNTERS
+
+    assert main(["atpg", str(csa_blif)]) == 0
+    (line,) = [
+        ln for ln in capsys.readouterr().err.splitlines()
+        if ln.startswith("proof work")
+    ]
+    pairs = line.split(":", 1)[1].split(",")
+    names = tuple(pair.split("=")[0].strip() for pair in pairs)
+    assert names == PROOF_COUNTERS
+
+
 def test_table1_quick(capsys):
     assert main(["table1", "--which", "csa", "--quick"]) == 0
     captured = capsys.readouterr().out
