@@ -33,9 +33,8 @@ after every iteration with the SAT miter and the timing engines.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..network import (
     Circuit,
@@ -59,6 +58,7 @@ from ..timing import (
     analyze,
     iter_paths_longest_first,
 )
+from ..timing.models import EPS
 
 STATIC = "static"
 VIABILITY = "viability"
@@ -89,9 +89,10 @@ class KmsResult:
     #: total gates duplicated across all iterations.
     duplicated_gates: int = 0
     #: deterministic work counters (arrival_relaxations,
-    #: paths_enumerated, viability_checks_exact,
-    #: viability_checks_prefiltered, cube_cache_hits, paths_capped,
-    #: plus the cleanup phase's redundancy-proof counters listed in
+    #: dist_relaxations, paths_enumerated, viability_checks_exact,
+    #: viability_checks_prefiltered -- see docs/TIMING.md for their
+    #: meaning in each mode -- plus the cleanup phase's
+    #: redundancy-proof counters listed in
     #: :data:`repro.atpg.proofengine.PROOF_COUNTERS`, and with
     #: ``incremental=False`` the oracle's ``podem_*`` effort); the
     #: engine exports these through telemetry and the CI perf gates
@@ -113,9 +114,7 @@ def kms(
     model: Optional[DelayModel] = None,
     checked: bool = False,
     trace: bool = False,
-    max_longest_paths: int = 5000,
     max_iterations: int = 100000,
-    choose_path: Optional[Callable[[List[Path]], Path]] = None,
     incremental: bool = True,
 ) -> KmsResult:
     """Derive an equivalent irredundant circuit that is no slower.
@@ -132,22 +131,14 @@ def kms(
             after every iteration (slow; for tests and paranoia).
         trace: keep a circuit snapshot in every event (for the Figs. 4-6
             walk-through).
-        max_longest_paths: cap on longest-path enumeration per iteration;
-            if the cap is hit without finding a sensitizable/viable one,
-            the algorithm conservatively keeps iterating on unsensitizable
-            paths it did see (safe: extra work, never wrong).  Hitting the
-            cap raises a ``UserWarning`` and bumps the ``paths_capped``
-            counter so capped runs are visible.
-        choose_path: override which unsensitizable longest path to operate
-            on (default: the enumeration's first).
         incremental: drive the loop with the dirty-cone incremental
             timing engine (:class:`repro.timing.IncrementalTiming`) --
             arrival times and path counts are re-relaxed only in the
-            fanout of mutated gates, path checks go through the
-            bit-parallel witness prefilter and the fingerprint-keyed cube
-            cache.  ``False`` keeps the from-scratch recompute per
-            iteration; both take bit-identical decisions, so the full
-            mode is the A/B oracle for the incremental one.
+            fanout of mutated gates, and each loop test is one question
+            over all longest paths at once.  ``False`` keeps the
+            from-scratch recompute per iteration and checks every
+            longest path on its own; both take identical steps, so the
+            full mode is the per-path reference for the incremental one.
 
     Returns:
         :class:`KmsResult` whose circuit is fully single-stuck-at
@@ -181,8 +172,6 @@ def kms(
         "paths_enumerated",
         "viability_checks_exact",
         "viability_checks_prefiltered",
-        "cube_cache_hits",
-        "paths_capped",
     ) + PROOF_COUNTERS + ARENA_COUNTERS:
         counters[name] = 0
 
@@ -207,8 +196,7 @@ def kms(
         if ann.delay <= 0:
             break
         target = _find_unsensitizable_longest_path(
-            work, model, mode, ann, max_longest_paths, choose_path,
-            counters, timing,
+            work, model, mode, ann, counters, timing
         )
         if target is None:
             break  # some longest path is sensitizable/viable: loop exits
@@ -272,61 +260,43 @@ def _find_unsensitizable_longest_path(
     model: DelayModel,
     mode: str,
     annotation,
-    max_longest_paths: int,
-    choose_path: Optional[Callable[[List[Path]], Path]],
     counters: Dict[str, float],
     timing: Optional[IncrementalTiming] = None,
 ) -> Optional[Path]:
     """Return a longest path to operate on, or None when some longest
     path is sensitizable/viable (loop exit condition).
 
-    With ``timing`` (incremental mode) path checks go through the
-    prefilter/cache/exact funnel; without it, every check is an exact
-    SAT query on a freshly built checker.  Both give the same booleans.
+    With ``timing`` (incremental mode) the exit condition is one
+    question over every longest path at once
+    (:meth:`IncrementalTiming.check_path`).  Without it, every longest
+    path is enumerated and checked on a freshly built exact checker --
+    the per-path reference.  Either way the loop operates on the first
+    path the enumerator yields, so both modes take the same steps.
     """
     if timing is not None:
-        test = timing.check_path
-    else:
-        checker = (
-            ViabilityChecker(work, model, annotation=annotation)
-            if mode == VIABILITY
-            else SensitizationChecker(work)
-        )
-        exact = (
-            checker.is_viable
-            if mode == VIABILITY
-            else checker.is_sensitizable
-        )
-
-        def test(path: Path) -> bool:
-            counters["viability_checks_exact"] += 1
-            return exact(path)
-
-    candidates: List[Path] = []
-    count = 0
+        if timing.check_path():
+            return None
+        counters["paths_enumerated"] += 1
+        return next(iter_paths_longest_first(work, model, annotation))
+    checker = (
+        ViabilityChecker(work, model, annotation=annotation)
+        if mode == VIABILITY
+        else SensitizationChecker(work)
+    )
+    exact = (
+        checker.is_viable if mode == VIABILITY else checker.is_sensitizable
+    )
+    first: Optional[Path] = None
     for path in iter_paths_longest_first(work, model, annotation):
-        if path.length < annotation.delay - 1e-9:
-            break
-        count += 1
-        if count > max_longest_paths:
-            counters["paths_capped"] += 1
-            warnings.warn(
-                f"KMS longest-path enumeration capped at "
-                f"{max_longest_paths} paths on {work.name!r}; the run "
-                f"stays sound but may duplicate more than needed "
-                f"(raise max_longest_paths to cover every longest path)",
-                stacklevel=2,
-            )
+        if path.length < annotation.delay - EPS:
             break
         counters["paths_enumerated"] += 1
-        if test(path):
+        counters["viability_checks_exact"] += 1
+        if exact(path):
             return None
-        candidates.append(path)
-    if not candidates:
-        return None
-    if choose_path is not None:
-        return choose_path(candidates)
-    return candidates[0]
+        if first is None:
+            first = path
+    return first
 
 
 def _eliminate_path(

@@ -55,10 +55,11 @@ def gate_fingerprint(
 ) -> str:
     """Fingerprint of one gate given its fanins' fingerprints in ``fps``.
 
-    The single-gate step of :func:`gate_fingerprints`, exposed so the
-    incremental timing context can re-hash only the transitive fanout of
-    mutated gates (a fingerprint depends solely on the gate's fanin cone,
-    so unchanged cones keep their digests).
+    The single-gate step of :func:`gate_fingerprints`: a digest of the
+    gate's own attributes and its fanins' digests, so it depends solely
+    on the gate's fanin cone.  The arena (:mod:`repro.net.arena`) hashes
+    the same seed layout when it re-hashes a dirty cone, and tests
+    replay this step to check it.
     """
     gate = circuit.gates[gid]
     if gate.gtype is GateType.INPUT:

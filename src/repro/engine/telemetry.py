@@ -36,18 +36,20 @@ KMS stage records additionally carry the deterministic work counters of
 the incremental timing engine (see :mod:`repro.timing.incremental` and
 ``docs/TIMING.md``): ``arrival_relaxations`` / ``dist_relaxations``
 (per-gate STA recomputations, forward and backward),
-``paths_enumerated`` (longest paths popped from the enumerator),
-``viability_checks_exact`` / ``viability_checks_prefiltered`` /
-``cube_cache_hits`` (how each path check was resolved: SAT solve,
-packed-simulation witness, or fingerprint-keyed cube cache), and
-``paths_capped`` (iterations whose path enumeration hit
-``max_longest_paths``).  These are exact functions of circuit + seed --
+``paths_enumerated`` (longest paths the loop took from the enumerator:
+one per iteration), and ``viability_checks_prefiltered`` /
+``viability_checks_exact`` (how each loop test -- "does some longest
+path qualify?" -- was answered: by the packed-simulation reach pass or
+by one SAT solve).  With ``incremental=False``, ``paths_enumerated``
+and ``viability_checks_exact`` count every longest path the per-path
+reference enumerated and checked.  These are exact functions of
+circuit + seed --
 no wall-clock jitter -- which is what lets CI gate on them
 (``benchmarks/compare_baseline.py``, ``kms`` perf-gate row).
 
 Stages that simulate through the compiled kernel
-(:mod:`repro.sim.kernel` -- fault grading in ``atpg``, the witness
-prefilter inside ``kms``, fraig signature refinement) additionally carry
+(:mod:`repro.sim.kernel` -- fault grading in ``atpg``, the loop test's
+reach pass inside ``kms``, fraig signature refinement) additionally carry
 the kernel's work counters, attributed per stage by
 :class:`repro.sim.kernel.SimWorkTracker` exactly like ``sat_calls``:
 ``gate_evals_good`` (gate evaluations in good-circuit packed

@@ -103,9 +103,10 @@ class Circuit:
         self.input_arrival: Dict[int, float] = {}
         self._topo_cache: Optional[List[int]] = None
         #: monotonically increasing mutation counter.  Every structural
-        #: change bumps it, so derived artifacts (the compiled simulation
-        #: kernel in :mod:`repro.sim.kernel`) can detect staleness with
-        #: one integer compare instead of hashing the network.
+        #: change and every retype bumps it, so derived artifacts (the
+        #: compiled simulation kernel in :mod:`repro.sim.kernel`) can
+        #: detect staleness with one integer compare instead of hashing
+        #: the network.
         self._version = 0
         #: attached :class:`repro.net.arena.NetArena` mirroring this
         #: circuit as struct-of-arrays, or None.  Every mutation
@@ -222,14 +223,15 @@ class Circuit:
     # ------------------------------------------------------------------ #
     # attribute setters
     # ------------------------------------------------------------------ #
-    # These mirror plain attribute writes (``gate.gtype = ...``) exactly:
-    # they do NOT bump :attr:`version` (attribute edits never did, and the
-    # proof engine's epoch solver keys on version), but they do notify an
-    # attached arena so the flat arrays never go stale.
+    # Each notifies an attached arena so the flat arrays never go stale.
+    # Only a retype bumps :attr:`version`: the compiled kernel's opcodes
+    # and the proof engine's epoch CNF read gate types, while neither
+    # reads delays or arrival times.
 
     def set_gate_type(self, gid: int, gtype: GateType) -> None:
         """Retype a gate in place (constant-propagation degenerations)."""
         self.gates[gid].gtype = gtype
+        self._version += 1
         if self._arena is not None:
             self._arena.on_set_gate_type(gid, gtype)
 
@@ -329,7 +331,8 @@ class Circuit:
 
     @property
     def version(self) -> int:
-        """Mutation counter: changes iff the structure may have changed."""
+        """Mutation counter: changes iff the structure or a gate type
+        may have changed."""
         return self._version
 
     def topological_order(self) -> List[int]:

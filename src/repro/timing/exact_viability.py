@@ -30,9 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Set
 
 from ..network import Circuit, GateType, noncontrolling_value
-from .models import AsBuiltDelayModel, DelayModel
-
-EPS = 1e-9
+from .models import EPS, AsBuiltDelayModel, DelayModel
 
 
 def viable_lengths_under(

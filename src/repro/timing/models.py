@@ -24,6 +24,11 @@ from ..network import Circuit, GateType
 #: Arrival time of signals that never transition (constants).
 NEVER = float("-inf")
 
+#: Tolerance for float time comparisons: path lengths that are sums of
+#: non-integer delays (0.1, 0.7, ...) differ in the last bits depending
+#: on the order they were summed in.
+EPS = 1e-9
+
 
 class DelayModel:
     """Strategy interface for circuit timing."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from ..network import Circuit, GateType
-from .models import AsBuiltDelayModel, DelayModel, NEVER
+from .models import EPS, NEVER, AsBuiltDelayModel, DelayModel
 from .sta import TimingAnnotation, analyze
 
 
@@ -186,7 +186,7 @@ def longest_paths(
     ann = analyze(circuit, model)
     result: List[Path] = []
     for path in iter_paths_longest_first(circuit, model, ann, max_paths):
-        if path.length < ann.delay - 1e-9:
+        if path.length < ann.delay - EPS:
             break
         result.append(path)
     return result

@@ -31,28 +31,35 @@ class SideInput:
     value: int
 
 
-def side_inputs(circuit: Circuit, path: Path) -> List[SideInput]:
-    """The side-input constraints of a path (Definition 4.10).
+def edge_side_inputs(circuit: Circuit, cid: int) -> List[SideInput]:
+    """The side-input constraints at the gate connection ``cid`` feeds,
+    for a path that enters the gate through ``cid``.
 
     Only AND/NAND/OR/NOR gates have controlling values; XOR-family gates
     must be decomposed away before sensitization questions are asked
-    (KMS precondition), and NOT/BUF contribute nothing.
+    (KMS precondition), and NOT/BUF gates and OUTPUT markers contribute
+    nothing.
     """
-    result: List[SideInput] = []
-    for i, gid in enumerate(path.gates):
-        gate = circuit.gates[gid]
-        if gate.gtype in (GateType.NOT, GateType.BUF):
-            continue
-        if gate.gtype in (GateType.XOR, GateType.XNOR):
-            raise ValueError(
-                "sensitization is undefined for undecomposed XOR gates"
-            )
-        on_path = path.conns[i]
-        ncv = noncontrolling_value(gate.gtype)
-        for cid in gate.fanin:
-            if cid != on_path:
-                result.append(SideInput(cid=cid, gate=gid, value=ncv))
-    return result
+    gid = circuit.conns[cid].dst
+    gate = circuit.gates[gid]
+    if gate.gtype in (GateType.NOT, GateType.BUF, GateType.OUTPUT):
+        return []
+    if gate.gtype in (GateType.XOR, GateType.XNOR):
+        raise ValueError(
+            "side inputs are undefined for undecomposed XOR gates"
+        )
+    ncv = noncontrolling_value(gate.gtype)
+    return [
+        SideInput(cid=side, gate=gid, value=ncv)
+        for side in gate.fanin
+        if side != cid
+    ]
+
+
+def side_inputs(circuit: Circuit, path: Path) -> List[SideInput]:
+    """The side-input constraints of a path (Definition 4.10): those of
+    each connection along it (see :func:`edge_side_inputs`)."""
+    return [si for cid in path.conns for si in edge_side_inputs(circuit, cid)]
 
 
 class SensitizationChecker:

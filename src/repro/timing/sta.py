@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..network import Circuit, GateType
-from .models import AsBuiltDelayModel, DelayModel, NEVER
+from .models import EPS, NEVER, AsBuiltDelayModel, DelayModel
 
 
 @dataclass
@@ -366,7 +366,13 @@ def critical_connections(
     model: Optional[DelayModel] = None,
     annotation: Optional[TimingAnnotation] = None,
 ) -> List[int]:
-    """Connections lying on at least one topologically-longest path."""
+    """Connections lying on at least one topologically-longest path.
+
+    A connection qualifies when the longest path through it reaches the
+    delay within :data:`~repro.timing.models.EPS`: that path's length
+    summed here in a different order than along the path can miss the
+    delay in the last bits under non-integer delays.
+    """
     model = model if model is not None else AsBuiltDelayModel()
     ann = annotation if annotation is not None else analyze(circuit, model)
     result = []
@@ -381,6 +387,6 @@ def critical_connections(
             + model.gate_delay(circuit, conn.dst)
             + down
         )
-        if total == ann.delay:
+        if total >= ann.delay - EPS:
             result.append(cid)
     return result

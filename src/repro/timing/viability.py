@@ -26,14 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..network import Circuit, GateType, noncontrolling_value
+from ..network import Circuit
 from ..sat import CircuitEncoder, Solver
-from .models import AsBuiltDelayModel, DelayModel, NEVER
+from .models import EPS, NEVER, AsBuiltDelayModel, DelayModel
 from .paths import Path, iter_paths_longest_first
+from .sensitize import edge_side_inputs
 from .sta import TimingAnnotation, analyze
-
-#: Tolerance for float time comparisons.
-EPS = 1e-9
 
 
 @dataclass
@@ -58,6 +56,22 @@ class DelayReport:
     exhausted: bool = False
 
 
+def settled_before(
+    circuit: Circuit,
+    model: DelayModel,
+    annotation: TimingAnnotation,
+    cid: int,
+    tau: float,
+) -> bool:
+    """Is side input ``cid`` early at event time ``tau``: does its
+    latest arrival, ``latest_arrival(src) + d(cid)``, come strictly
+    before ``tau``?  Constants never transition, so they always are."""
+    settle = annotation.arrival[circuit.conns[cid].src]
+    if settle == NEVER:
+        return True
+    return settle + model.conn_delay(circuit, cid) < tau - EPS
+
+
 def early_side_inputs(
     circuit: Circuit,
     model: DelayModel,
@@ -67,32 +81,17 @@ def early_side_inputs(
     """(cid, gate, required value) for each provably-early side-input.
 
     A side-input connection ``s`` into path gate ``g_i`` is early when
-    ``latest_arrival(src(s)) + d(s) < tau_i``.  Standalone so the
-    incremental KMS timing context can derive viability constraints from
-    its own maintained annotation without a from-scratch :func:`analyze`.
+    ``latest_arrival(src(s)) + d(s) < tau_i`` (:func:`settled_before`).
+    Standalone so callers holding a maintained annotation need no
+    from-scratch :func:`analyze`.
     """
     taus = path.event_times(circuit, model)
-    result: List[Tuple[int, int, int]] = []
-    for i, gid in enumerate(path.gates):
-        gate = circuit.gates[gid]
-        if gate.gtype in (GateType.NOT, GateType.BUF):
-            continue
-        if gate.gtype in (GateType.XOR, GateType.XNOR):
-            raise ValueError(
-                "viability is undefined for undecomposed XOR gates"
-            )
-        on_path = path.conns[i]
-        ncv = noncontrolling_value(gate.gtype)
-        for cid in gate.fanin:
-            if cid == on_path:
-                continue
-            conn = circuit.conns[cid]
-            settle = annotation.arrival[conn.src]
-            if settle != NEVER:
-                settle += model.conn_delay(circuit, cid)
-            if settle == NEVER or settle < taus[i] - EPS:
-                result.append((cid, gid, ncv))
-    return result
+    return [
+        (si.cid, si.gate, si.value)
+        for cid, tau in zip(path.conns, taus)
+        for si in edge_side_inputs(circuit, cid)
+        if settled_before(circuit, model, annotation, si.cid, tau)
+    ]
 
 
 class ViabilityChecker:

@@ -123,6 +123,25 @@ def test_kernel_goes_stale_and_recompiles(and_or_circuit):
     assert not kern.stale
 
 
+def test_retype_recompiles(and_or_circuit):
+    """A retype changes an opcode, so it bumps the version and the
+    cached kernel recompiles."""
+    c = and_or_circuit
+    g1 = c.find_gate("g1")
+    packed = {
+        c.find_input("a"): 0b1010,
+        c.find_input("b"): 0b1100,
+        c.find_input("c"): 0b0000,
+    }
+    assert get_compiled(c).evaluate(packed, 4)[g1] == 0b1000
+    before = c.version
+    c.set_gate_type(g1, GateType.OR)
+    assert c.version > before
+    values = get_compiled(c).evaluate(packed, 4)
+    assert values == simulate_packed(c, packed, 4)
+    assert values[g1] == 0b1110
+
+
 def test_get_compiled_caches_per_circuit(and_or_circuit):
     c = and_or_circuit
     assert get_compiled(c) is get_compiled(c)

@@ -1,6 +1,6 @@
 """Property suite: the incremental timing engine tracks the full oracle.
 
-Two layers of bit-identical agreement over randomized inputs:
+Three layers of agreement over randomized inputs:
 
 * **STA state** -- after every mutation in a randomized sequence of KMS
   transforms (constant-setting + propagation, sweeps, chain
@@ -11,15 +11,21 @@ Two layers of bit-identical agreement over randomized inputs:
   that a from-scratch pass computes -- ``==`` on floats, no tolerance:
   both engines share the same per-gate arithmetic, so any difference is
   a dirty-cone bookkeeping bug.
-* **KMS outputs** -- ``kms(..., incremental=True)`` and the full oracle
-  produce bit-identical final circuits (same content fingerprint) and
-  SAT-equivalent networks on random redundant circuits.
+* **the loop test** -- before and after every mutation,
+  :meth:`IncrementalTiming.check_path`'s one question must equal the
+  per-path reference: some longest path passes the from-scratch
+  sensitization (static) / viability checker.
+* **KMS outputs** -- ``kms(..., incremental=True)`` and the per-path
+  reference take the same steps (event sequences) and produce
+  bit-identical final circuits (same content fingerprint) and
+  SAT-equivalent networks on random redundant circuits, in both modes.
 
-Both layers run under three delay models: the as-built integer delays,
+Every layer runs under three delay models: the as-built integer delays,
 and two with non-integer delays -- a fanout-load model (0.1 per extra
 fanout, not exact in binary) and a library table with fractional gate
 and connection delays.  The plain numeric test ids are the as-built
-model; the others carry a ``fanout-``/``library-`` prefix.
+model; the others carry a ``fanout-``/``library-`` prefix, and
+viability-mode ids a further ``viability-`` prefix.
 
 250 random circuits per model in batches (kept small so each test stays
 well under CI's per-test timeout).
@@ -44,9 +50,13 @@ from repro.timing import (
     AsBuiltDelayModel,
     FanoutDelayModel,
     IncrementalSTA,
+    IncrementalTiming,
     LibraryDelayModel,
+    SensitizationChecker,
+    ViabilityChecker,
     analyze,
     iter_paths_longest_first,
+    longest_paths,
 )
 
 #: (id prefix, model); the as-built model keeps the bare numeric ids.
@@ -78,6 +88,20 @@ def _over_models(cases):
         "model,case",
         [
             pytest.param(model, case, id=f"{prefix}{case}")
+            for prefix, model in MODELS
+            for case in cases
+        ],
+    )
+
+
+def _over_modes_and_models(cases):
+    """Parametrize a test over both KMS modes, every delay model and
+    ``cases``; static mode keeps the :func:`_over_models` ids."""
+    return pytest.mark.parametrize(
+        "mode,model,case",
+        [
+            pytest.param(mode, model, case, id=f"{tag}{prefix}{case}")
+            for mode, tag in (("static", ""), ("viability", "viability-"))
             for prefix, model in MODELS
             for case in cases
         ],
@@ -207,18 +231,59 @@ def test_incremental_sta_tracks_full_recompute(model, case):
             _assert_matches_oracle(sta, circuit, model)
 
 
-@_over_models(range(12))
-def test_kms_incremental_bit_identical_random(model, case):
+def _assert_loop_test_matches_reference(timing, circuit, model, mode):
+    """The loop's answer, and the SAT solve's alone (a fresh context
+    has simulated no patterns, so its reach pass cannot answer), both
+    equal the per-path reference."""
+    timing.begin_iteration()
+    if timing.annotation().delay <= 0:
+        return  # the KMS loop exits before asking
+    if mode == "viability":
+        exact = ViabilityChecker(circuit, model).is_viable
+    else:
+        exact = SensitizationChecker(circuit).is_sensitizable
+    expected = any(exact(path) for path in longest_paths(circuit, model))
+    assert timing.check_path() == expected
+    sat_only = IncrementalTiming(circuit, model, mode=mode)
+    assert sat_only.check_path() == expected
+    assert sat_only.viability_checks_exact == 1
+
+
+@_over_modes_and_models(range(BATCHES))
+def test_check_path_matches_per_path_reference(mode, model, case):
+    rng = random.Random(2000 + case)
+    for index in range(CIRCUITS_PER_BATCH):
+        circuit = _random_subject(rng, index)
+        timing = IncrementalTiming(circuit, model, mode=mode)
+        _assert_loop_test_matches_reference(timing, circuit, model, mode)
+        for _step in range(rng.randint(2, 6)):
+            mutate = rng.choice(MUTATIONS)
+            touched = mutate(circuit, model, rng)
+            if touched is None:
+                continue
+            timing.refresh(touched)
+            _assert_loop_test_matches_reference(
+                timing, circuit, model, mode
+            )
+
+
+def _steps(result):
+    return [
+        (e.path, e.constant_value, e.duplicated_gates, e.gates_after)
+        for e in result.events
+    ]
+
+
+@_over_modes_and_models(range(12))
+def test_kms_incremental_bit_identical_random(mode, model, case):
     circuit = random_redundant_circuit(
         num_inputs=5, num_gates=15, seed=case
     )
-    inc = kms(circuit, model=model, incremental=True)
-    full = kms(circuit, model=model, incremental=False)
-    assert inc.iterations == full.iterations
+    inc = kms(circuit, mode=mode, model=model, incremental=True)
+    full = kms(circuit, mode=mode, model=model, incremental=False)
+    assert _steps(inc) == _steps(full)
     assert circuit_fingerprint(inc.circuit) == circuit_fingerprint(
         full.circuit
     )
     assert check_equivalence(inc.circuit, full.circuit).equivalent
     assert check_equivalence(circuit, inc.circuit).equivalent
-    for key in ("paths_enumerated", "paths_capped"):
-        assert inc.counters[key] == full.counters[key]

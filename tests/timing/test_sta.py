@@ -2,14 +2,18 @@
 
 import pytest
 
-from repro.circuits import fig1_carry_skip_block, fig4_c2_cone
+from repro.circuits import fig1_carry_skip_block, fig4_c2_cone, random_circuit
 from repro.network import Builder, GateType
 from repro.timing import (
     UnitDelayModel,
     analyze,
     critical_connections,
+    iter_paths_longest_first,
     topological_delay,
 )
+from repro.timing.models import EPS
+
+from .test_incremental_property import MODELS
 
 
 class TestArrival:
@@ -76,6 +80,33 @@ class TestCriticalConnections:
     def test_single_critical_path(self, chain_circuit):
         crit = critical_connections(chain_circuit)
         assert len(crit) == 3  # x->n1, n1->n2, n2->output
+
+    @pytest.mark.parametrize(
+        "model",
+        [model for _, model in MODELS],
+        ids=[prefix.rstrip("-") or "as-built" for prefix, _ in MODELS],
+    )
+    def test_union_of_longest_paths(self, model):
+        """Summed around a connection, the longest path through it can
+        miss the delay in the last bits under non-integer delays; it is
+        still a longest path."""
+        for seed in range(200):
+            circuit = random_circuit(
+                num_inputs=4 + seed % 3,
+                num_gates=12 + seed % 10,
+                num_outputs=1 + seed % 3,
+                seed=seed,
+                max_arrival=3.0 if seed % 2 else 0.0,
+            )
+            ann = analyze(circuit, model)
+            on_paths = set()
+            for path in iter_paths_longest_first(circuit, model, ann):
+                if path.length < ann.delay - EPS:
+                    break
+                on_paths.update(path.conns)
+            assert set(critical_connections(circuit, model, ann)) == (
+                on_paths
+            ), seed
 
 
 class TestPaperNumbers:
