@@ -8,12 +8,10 @@ fingerprinting, and cone queries at O(touched) maintenance cost.
 
 from .arena import (  # noqa: F401
     ARENA_COUNTERS,
-    BACKEND_ENV,
     LEGACY_ENV,
     NetArena,
     attach_arena,
     detach_arena,
     get_arena,
     net_enabled,
-    resolve_backend,
 )

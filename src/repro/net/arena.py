@@ -21,16 +21,12 @@ index, stable between compactions, mapped to/from circuit gids):
 * ``gdelay[slot]``  -- gate delay ``d(g)``;
 * ``arrival[slot]`` -- primary-input arrival time (0.0 elsewhere);
 * ``rank[slot]``    -- position in the maintained topological order;
-* fanin/fanout      -- per-slot pin lists of connection slots, with a
-  read-optimized CSR view (:meth:`NetArena.fanin_csr` /
-  :meth:`fanout_csr`) materialized lazily;
+* fanin/fanout      -- per-slot pin lists of connection slots;
 * ``csrc/cdst/cdelay/cpin[cslot]`` -- connection endpoints (slots),
   delay ``d(c)``, and pin index on the destination gate.
 
-Scalar arrays are numpy-backed when numpy is importable (selectable via
-``REPRO_NET_BACKEND`` = ``python`` / ``numpy`` / ``auto``, mirroring the
-PR-4 simulation backend switch); the pure-Python fallback is a plain
-list.  Either backend holds bit-identical values.
+Every array is a plain Python list: the hot consumers read one element
+at a time, which a list serves with no per-read conversion.
 
 Three maintenance mechanisms make the arena cheap to keep fresh:
 
@@ -74,21 +70,14 @@ from __future__ import annotations
 
 import heapq
 import os
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..network.circuit import Circuit, CircuitError
 from ..network.gates import GateType
 from ..sim.opcodes import OPCODE
 
-try:  # optional [perf] extra; the pure-Python backend is always there
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-    _np = None
-
 #: Environment variable forcing the legacy object-graph path (A/B oracle).
 LEGACY_ENV = "REPRO_NET_LEGACY"
-#: Environment variable selecting the scalar-array storage backend.
-BACKEND_ENV = "REPRO_NET_BACKEND"
 
 #: The arena's deterministic work counters, in canonical order.
 ARENA_COUNTERS = (
@@ -124,84 +113,6 @@ def net_enabled() -> bool:
     return os.environ.get(LEGACY_ENV, "") in ("", "0")
 
 
-def resolve_backend(requested: Optional[str] = None) -> str:
-    """Pick the scalar-array storage backend (``python``/``numpy``)."""
-    choice = requested or os.environ.get(BACKEND_ENV, "auto") or "auto"
-    if choice == "python":
-        return "python"
-    if choice == "numpy":
-        if _np is None:
-            raise RuntimeError(
-                f"{BACKEND_ENV}=numpy but numpy is not installed "
-                "(pip install repro[perf])"
-            )
-        return "numpy"
-    if choice != "auto":
-        raise ValueError(
-            f"unknown arena backend {choice!r}; "
-            f"expected python, numpy, or auto"
-        )
-    return "numpy" if _np is not None else "python"
-
-
-class _Vec:
-    """Growable scalar array with numpy and pure-Python backends.
-
-    Capacity doubles on growth; values are bit-identical across
-    backends (plain ints/floats in, plain ints/floats out).
-    """
-
-    __slots__ = ("backend", "dtype", "fill", "n", "_data")
-
-    def __init__(self, backend: str, dtype: str, fill=0) -> None:
-        self.backend = backend
-        self.dtype = dtype  # "i" (int64) or "f" (float64)
-        self.fill = fill
-        self.n = 0
-        if backend == "numpy":
-            np_dtype = _np.int64 if dtype == "i" else _np.float64
-            self._data = _np.full(16, fill, dtype=np_dtype)
-        else:
-            self._data = []
-
-    def append(self, value) -> None:
-        if self.backend == "numpy":
-            if self.n == len(self._data):
-                grown = _np.full(
-                    max(16, 2 * len(self._data)), self.fill,
-                    dtype=self._data.dtype,
-                )
-                grown[: self.n] = self._data
-                self._data = grown
-            self._data[self.n] = value
-        else:
-            self._data.append(value)
-        self.n += 1
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, idx: int):
-        value = self._data[idx]
-        if self.backend == "numpy":
-            return int(value) if self.dtype == "i" else float(value)
-        return value
-
-    def __setitem__(self, idx: int, value) -> None:
-        self._data[idx] = value
-
-    def tolist(self) -> list:
-        if self.backend == "numpy":
-            return self._data[: self.n].tolist()
-        return list(self._data)
-
-    def array(self):
-        """The live backing store (numpy view or list) up to length."""
-        if self.backend == "numpy":
-            return self._data[: self.n]
-        return self._data
-
-
 class NetArena:
     """Struct-of-arrays mirror of one :class:`Circuit`, hook-maintained.
 
@@ -212,9 +123,8 @@ class NetArena:
     O(rebuild).
     """
 
-    def __init__(self, circuit: Circuit, backend: Optional[str] = None):
+    def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.backend = resolve_backend(backend)
         self.counters: Dict[str, int] = {k: 0 for k in ARENA_COUNTERS}
         #: informational: full from-scratch array builds (1 per attach
         #: unless the interface changes out from under the hooks).
@@ -234,12 +144,11 @@ class NetArena:
     # ------------------------------------------------------------------ #
 
     def _new_arrays(self) -> None:
-        be = self.backend
-        self.gt = _Vec(be, "i")
-        self.evalop = _Vec(be, "i")
-        self.gdelay = _Vec(be, "f")
-        self.arrival = _Vec(be, "f")
-        self.rank = _Vec(be, "i")
+        self.gt: List[int] = []
+        self.evalop: List[int] = []
+        self.gdelay: List[float] = []
+        self.arrival: List[float] = []
+        self.rank: List[int] = []
         self.alive: List[bool] = []
         self.gid_of: List[int] = []
         self.slot_of: Dict[int, int] = {}
@@ -247,10 +156,10 @@ class NetArena:
         self.fanout: List[List[int]] = []  # conn slots
         self.free_slots: List[int] = []
         # connections
-        self.csrc = _Vec(be, "i")
-        self.cdst = _Vec(be, "i")
-        self.cdelay = _Vec(be, "f")
-        self.cpin = _Vec(be, "i")
+        self.csrc: List[int] = []
+        self.cdst: List[int] = []
+        self.cdelay: List[float] = []
+        self.cpin: List[int] = []
         self.calive: List[bool] = []
         self.cid_of: List[int] = []
         self.cslot_of: Dict[int, int] = {}
@@ -268,7 +177,6 @@ class NetArena:
         self.fps: Dict[int, str] = {}
         self._fp_dirty: Set[int] = set()
         self._fp_all_dirty = True
-        self._csr_cache: Optional[tuple] = None
 
     def _build(self) -> None:
         """Full from-scratch build -- runs once at attach; afterwards
@@ -354,7 +262,6 @@ class NetArena:
     def _touch(self, n: int = 1) -> None:
         self.counters["array_ops_inplace"] += n
         self.version += 1
-        self._csr_cache = None
 
     def on_add_gate(self, gid: int, gtype: GateType, delay: float) -> None:
         slot = self._alloc_slot(gid, gtype, delay)
@@ -576,7 +483,7 @@ class NetArena:
         self.counters["arena_compactions"] += 1
 
     # ------------------------------------------------------------------ #
-    # readers: order, cones, CSR
+    # readers: order, cones
     # ------------------------------------------------------------------ #
 
     def live_slots(self) -> Iterable[int]:
@@ -616,36 +523,6 @@ class NetArena:
                 if t not in seen_slots:
                     stack.append(t)
         return {gid_of[s] for s in seen_slots}
-
-    def fanin_csr(self) -> Tuple[list, list]:
-        """Read-optimized CSR over live slots in topological order:
-        ``(indptr, src_slots)`` where row *i* holds the fanin source
-        slots (pin order) of the i-th live slot of :meth:`live_slots`.
-        Cached until the next mutation; numpy arrays on the numpy
-        backend."""
-        return self._csr()[0:2]
-
-    def fanout_csr(self) -> Tuple[list, list]:
-        """CSR of fanout destination slots, same row convention."""
-        return self._csr()[2:4]
-
-    def _csr(self):
-        if self._csr_cache is None:
-            in_ptr, in_idx, out_ptr, out_idx = [0], [], [0], []
-            for slot in self.live_slots():
-                for c in self.fanin[slot]:
-                    in_idx.append(self.csrc[c])
-                in_ptr.append(len(in_idx))
-                for c in self.fanout[slot]:
-                    out_idx.append(self.cdst[c])
-                out_ptr.append(len(out_idx))
-            if self.backend == "numpy":
-                in_ptr, in_idx, out_ptr, out_idx = (
-                    _np.asarray(a, dtype=_np.int64)
-                    for a in (in_ptr, in_idx, out_ptr, out_idx)
-                )
-            self._csr_cache = (in_ptr, in_idx, out_ptr, out_idx)
-        return self._csr_cache
 
     # ------------------------------------------------------------------ #
     # incremental Merkle fingerprints
@@ -802,7 +679,7 @@ class NetArena:
     def __repr__(self) -> str:
         return (
             f"<NetArena {self.circuit.name!r}: {self.n_live_gates} live / "
-            f"{len(self.alive)} slots, backend={self.backend}, "
+            f"{len(self.alive)} slots, "
             f"v{self.version} topo{self.topo_version}>"
         )
 
@@ -811,14 +688,12 @@ class NetArena:
 # attachment
 # ---------------------------------------------------------------------- #
 
-def attach_arena(
-    circuit: Circuit, backend: Optional[str] = None
-) -> NetArena:
+def attach_arena(circuit: Circuit) -> NetArena:
     """Build a :class:`NetArena` for ``circuit`` and register it as the
     circuit's primary flat representation (idempotent)."""
     arena = getattr(circuit, "_arena", None)
     if arena is None or arena.circuit is not circuit:
-        arena = NetArena(circuit, backend)
+        arena = NetArena(circuit)
         circuit._arena = arena
     return arena
 

@@ -24,10 +24,8 @@ from .kernel import (
     CompiledAig,
     CompiledCircuit,
     SimWorkTracker,
-    available_backends,
     get_compiled,
     refresh_compiled,
-    resolve_backend,
     sim_work_counters,
 )
 from .dcalc import D, DBAR, ONE, XX, ZERO, eval_gate5, is_d_or_dbar, simulate5
@@ -49,10 +47,8 @@ __all__ = [
     "XX",
     "X",
     "ZERO",
-    "available_backends",
     "get_compiled",
     "refresh_compiled",
-    "resolve_backend",
     "sim_work_counters",
     "eval_gate3",
     "eval_gate5",

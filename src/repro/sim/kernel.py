@@ -15,14 +15,9 @@ into a flat levelized schedule and makes both costs go away:
   explicitly (the PR-3 contract: a non-empty touched set means the
   schedule may have changed, so the kernel recompiles).
 
-* two interchangeable, bit-identical backends: pure Python (arbitrary-
-  precision ints, one bitwise op per gate per call) and an optional
-  numpy backend that splits a pattern block into ``uint64`` lanes so a
-  4096-pattern word is 64 machine words instead of one 4096-bit Python
-  int.  Selection is automatic (numpy when importable and the block is
-  wider than one machine word) and forceable through the
-  ``REPRO_SIM_BACKEND`` environment variable (``python`` / ``numpy`` /
-  ``auto``).
+* a pattern block is one arbitrary-precision Python int per gate (bit
+  *i* is the gate's value under pattern *i*), so one bitwise op per
+  fanin evaluates a gate under every pattern of the block, at any width.
 
 * event-driven parallel-pattern fault simulation
   (:meth:`CompiledCircuit.fault_diffs`): the stuck value is injected at
@@ -47,7 +42,6 @@ compare against it take ``compiled=False`` to run it.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..network import Circuit
@@ -55,7 +49,6 @@ from .opcodes import (
     OP_AND,
     OP_BUF,
     OP_CONST0,
-    OP_CONST1,
     OP_INPUT,
     OP_NAND,
     OP_NOR,
@@ -67,18 +60,6 @@ from .opcodes import (
     eval_op_word,
 )
 
-try:  # optional [perf] extra; the pure-Python backend is always there
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-    _np = None
-
-#: Environment variable selecting the evaluation backend.
-BACKEND_ENV = "REPRO_SIM_BACKEND"
-
-#: ``auto`` stays on Python ints up to one machine word; wider blocks
-#: amortize numpy's per-op overhead across many uint64 lanes.
-AUTO_NUMPY_MIN_WIDTH = 65
-
 #: The kernel's deterministic work counters, in canonical order.
 WORK_COUNTERS = (
     "gate_evals_good",
@@ -87,70 +68,6 @@ WORK_COUNTERS = (
     "faults_dropped",
     "compile_rebuilds",
 )
-
-_ALL_ONES = 0xFFFF_FFFF_FFFF_FFFF
-
-# the shared opcode table (see repro.sim.opcodes); the leading
-# underscore names predate the shared module and are kept for the
-# consumers/tests that import them from here
-_OP_INPUT = OP_INPUT
-_OP_CONST0 = OP_CONST0
-_OP_CONST1 = OP_CONST1
-_OP_BUF = OP_BUF
-_OP_NOT = OP_NOT
-_OP_AND = OP_AND
-_OP_NAND = OP_NAND
-_OP_OR = OP_OR
-_OP_NOR = OP_NOR
-_OP_XOR = OP_XOR
-_OP_XNOR = OP_XNOR
-
-_OPCODE = OPCODE
-
-
-# ---------------------------------------------------------------------- #
-# backend selection
-# ---------------------------------------------------------------------- #
-
-def numpy_available() -> bool:
-    """True when the optional numpy backend can be used."""
-    return _np is not None
-
-
-def available_backends() -> List[str]:
-    """The backends usable in this process, preferred-last."""
-    return ["python"] + (["numpy"] if _np is not None else [])
-
-
-def resolve_backend(
-    requested: Optional[str] = None, width: Optional[int] = None
-) -> str:
-    """Pick the evaluation backend for one call.
-
-    ``requested`` overrides everything; otherwise ``REPRO_SIM_BACKEND``
-    decides, defaulting to ``auto``: numpy when importable and the
-    pattern block is wider than one machine word, else pure Python.
-    Forcing ``numpy`` without numpy installed is an error (CI's
-    fallback leg forces ``python`` instead of silently downgrading).
-    """
-    choice = requested or os.environ.get(BACKEND_ENV, "auto") or "auto"
-    if choice == "python":
-        return "python"
-    if choice == "numpy":
-        if _np is None:
-            raise RuntimeError(
-                "REPRO_SIM_BACKEND=numpy but numpy is not installed "
-                "(pip install repro[perf])"
-            )
-        return "numpy"
-    if choice != "auto":
-        raise ValueError(
-            f"unknown simulation backend {choice!r}; "
-            f"expected python, numpy, or auto"
-        )
-    if _np is not None and (width or 0) >= AUTO_NUMPY_MIN_WIDTH:
-        return "numpy"
-    return "python"
 
 
 # ---------------------------------------------------------------------- #
@@ -256,7 +173,7 @@ class CompiledCircuit:
         conns = circuit.conns
         for i, gid in enumerate(order):
             gate = circuit.gates[gid]
-            ops[i] = _OPCODE[gate.gtype]
+            ops[i] = OPCODE[gate.gtype]
             srcs = tuple(pos[conns[cid].src] for cid in gate.fanin)
             fanin_pos[i] = srcs
             for pin, cid in enumerate(gate.fanin):
@@ -275,7 +192,7 @@ class CompiledCircuit:
         self.po_pos = [pos[g] for g in circuit.outputs]
         self._po_pos_set = set(self.po_pos)
         #: positions the good-eval counter charges (everything but PIs)
-        self._num_eval_gates = sum(1 for op in ops if op != _OP_INPUT)
+        self._num_eval_gates = sum(1 for op in ops if op != OP_INPUT)
 
     @property
     def stale(self) -> bool:
@@ -323,14 +240,13 @@ class CompiledCircuit:
         packed_inputs: Mapping[int, int],
         width: int,
         overrides: Optional[Mapping[int, int]] = None,
-        backend: Optional[str] = None,
     ) -> Dict[int, int]:
         """Drop-in, bit-identical replacement for ``simulate_packed``.
 
         Returns packed words for every gate, keyed by gid.  ``overrides``
         forces gate outputs exactly like the interpreted path.
         """
-        words = self.evaluate_words(packed_inputs, width, overrides, backend)
+        words = self.evaluate_words(packed_inputs, width, overrides)
         return {gid: words[i] for i, gid in enumerate(self.order)}
 
     def evaluate_words(
@@ -338,7 +254,6 @@ class CompiledCircuit:
         packed_inputs: Mapping[int, int],
         width: int,
         overrides: Optional[Mapping[int, int]] = None,
-        backend: Optional[str] = None,
     ) -> List[int]:
         """Like :meth:`evaluate` but positional (index = topo rank) --
         the representation the fault simulator consumes."""
@@ -347,18 +262,12 @@ class CompiledCircuit:
         over: Dict[int, int] = {}
         if overrides:
             over = {self.pos[g]: v & mask for g, v in overrides.items()}
-        which = resolve_backend(backend, width)
-        if which == "numpy":
-            values, evals = self._evaluate_numpy(
-                packed_inputs, width, mask, over
-            )
-        else:
-            values, evals = self._evaluate_python(packed_inputs, mask, over)
+        values, evals = self._evaluate(packed_inputs, mask, over)
         self.work.gate_evals_good += evals
         _GLOBAL_WORK.gate_evals_good += evals
         return values
 
-    def _evaluate_python(
+    def _evaluate(
         self,
         packed_inputs: Mapping[int, int],
         mask: int,
@@ -373,100 +282,35 @@ class CompiledCircuit:
             if idx in over:
                 values[idx] = over[idx]
                 continue
-            if op == _OP_INPUT:
+            if op == OP_INPUT:
                 values[idx] = packed_inputs.get(order[idx], 0) & mask
                 continue
             evals += 1
             srcs = fanin_pos[idx]
-            if op == _OP_AND or op == _OP_NAND:
+            if op == OP_AND or op == OP_NAND:
                 acc = mask
                 for s in srcs:
                     acc &= values[s]
-                values[idx] = acc if op == _OP_AND else ~acc & mask
-            elif op == _OP_OR or op == _OP_NOR:
+                values[idx] = acc if op == OP_AND else ~acc & mask
+            elif op == OP_OR or op == OP_NOR:
                 acc = 0
                 for s in srcs:
                     acc |= values[s]
-                values[idx] = acc if op == _OP_OR else ~acc & mask
-            elif op == _OP_BUF:
+                values[idx] = acc if op == OP_OR else ~acc & mask
+            elif op == OP_BUF:
                 values[idx] = values[srcs[0]]
-            elif op == _OP_NOT:
+            elif op == OP_NOT:
                 values[idx] = ~values[srcs[0]] & mask
-            elif op == _OP_XOR or op == _OP_XNOR:
+            elif op == OP_XOR or op == OP_XNOR:
                 acc = 0
                 for s in srcs:
                     acc ^= values[s]
-                values[idx] = acc if op == _OP_XOR else ~acc & mask
-            elif op == _OP_CONST0:
+                values[idx] = acc if op == OP_XOR else ~acc & mask
+            elif op == OP_CONST0:
                 values[idx] = 0
-            else:  # _OP_CONST1
+            else:  # OP_CONST1
                 values[idx] = mask
         return values, evals
-
-    def _evaluate_numpy(
-        self,
-        packed_inputs: Mapping[int, int],
-        width: int,
-        mask: int,
-        over: Dict[int, int],
-    ) -> Tuple[List[int], int]:
-        np = _np
-        nwords = (width + 63) // 64
-        lane_mask = np.full(nwords, _ALL_ONES, dtype=np.uint64)
-        rem = width % 64
-        if rem:
-            lane_mask[-1] = np.uint64((1 << rem) - 1)
-
-        def to_lanes(value: int):
-            return np.frombuffer(
-                (value & mask).to_bytes(nwords * 8, "little"), dtype="<u8"
-            ).astype(np.uint64, copy=True)
-
-        ops = self.ops
-        fanin_pos = self.fanin_pos
-        order = self.order
-        n = len(ops)
-        values = np.zeros((n, nwords), dtype=np.uint64)
-        evals = 0
-        for idx, op in enumerate(ops):
-            if idx in over:
-                values[idx] = to_lanes(over[idx])
-                continue
-            if op == _OP_INPUT:
-                values[idx] = to_lanes(packed_inputs.get(order[idx], 0))
-                continue
-            evals += 1
-            srcs = fanin_pos[idx]
-            if op == _OP_AND or op == _OP_NAND:
-                acc = lane_mask.copy()
-                for s in srcs:
-                    acc &= values[s]
-                values[idx] = acc if op == _OP_AND else ~acc & lane_mask
-            elif op == _OP_OR or op == _OP_NOR:
-                acc = np.zeros(nwords, dtype=np.uint64)
-                for s in srcs:
-                    acc |= values[s]
-                values[idx] = acc if op == _OP_OR else ~acc & lane_mask
-            elif op == _OP_BUF:
-                values[idx] = values[srcs[0]]
-            elif op == _OP_NOT:
-                values[idx] = ~values[srcs[0]] & lane_mask
-            elif op == _OP_XOR or op == _OP_XNOR:
-                acc = np.zeros(nwords, dtype=np.uint64)
-                for s in srcs:
-                    acc ^= values[s]
-                values[idx] = acc if op == _OP_XOR else ~acc & lane_mask
-            elif op == _OP_CONST0:
-                pass  # already zeros
-            else:  # _OP_CONST1
-                values[idx] = lane_mask
-        lanes = values.astype("<u8", copy=False).tobytes()
-        row = nwords * 8
-        out = [
-            int.from_bytes(lanes[i * row:(i + 1) * row], "little")
-            for i in range(n)
-        ]
-        return out, evals
 
     def _eval_one(self, idx: int, ins: Sequence[int], mask: int) -> int:
         """Evaluate one gate over explicit fanin words (fault path) --
@@ -554,16 +398,13 @@ class CompiledCircuit:
         packed_inputs: Mapping[int, int],
         width: int,
         good_words: Optional[Sequence[int]] = None,
-        backend: Optional[str] = None,
     ) -> Dict[int, int]:
         """Full faulty-value map, bit-identical to
         ``simulate_fault_packed``: the good values overlaid with the
         fault's cone diffs.  Pass precomputed ``good_words`` to reuse
         one good simulation across a whole fault list."""
         if good_words is None:
-            good_words = self.evaluate_words(
-                packed_inputs, width, backend=backend
-            )
+            good_words = self.evaluate_words(packed_inputs, width)
         diffs = self.fault_diffs(fault, good_words, width)
         return {
             gid: diffs.get(i, good_words[i])
@@ -683,10 +524,9 @@ class ArenaCompiledCircuit:
         packed_inputs: Mapping[int, int],
         width: int,
         overrides: Optional[Mapping[int, int]] = None,
-        backend: Optional[str] = None,
     ) -> Dict[int, int]:
         """Drop-in, bit-identical replacement for ``simulate_packed``."""
-        words = self.evaluate_words(packed_inputs, width, overrides, backend)
+        words = self.evaluate_words(packed_inputs, width, overrides)
         arena = self.arena
         return {
             arena.gid_of[slot]: words[slot] for slot in arena.live_slots()
@@ -697,7 +537,6 @@ class ArenaCompiledCircuit:
         packed_inputs: Mapping[int, int],
         width: int,
         overrides: Optional[Mapping[int, int]] = None,
-        backend: Optional[str] = None,
     ) -> List[int]:
         """Like :meth:`evaluate` but positional (index = arena slot)."""
         self._ensure_fresh()
@@ -706,18 +545,12 @@ class ArenaCompiledCircuit:
         if overrides:
             slot_of = self.arena.slot_of
             over = {slot_of[g]: v & mask for g, v in overrides.items()}
-        which = resolve_backend(backend, width)
-        if which == "numpy":
-            values, evals = self._evaluate_numpy(
-                packed_inputs, width, mask, over
-            )
-        else:
-            values, evals = self._evaluate_python(packed_inputs, mask, over)
+        values, evals = self._evaluate(packed_inputs, mask, over)
         self.work.gate_evals_good += evals
         _GLOBAL_WORK.gate_evals_good += evals
         return values
 
-    def _evaluate_python(
+    def _evaluate(
         self,
         packed_inputs: Mapping[int, int],
         mask: int,
@@ -737,105 +570,35 @@ class ArenaCompiledCircuit:
                 values[slot] = over[slot]
                 continue
             op = evalop[slot]
-            if op == _OP_INPUT:
+            if op == OP_INPUT:
                 values[slot] = packed_inputs.get(gid_of[slot], 0) & mask
                 continue
             evals += 1
             srcs = [csrc[c] for c in fanin[slot]]
-            if op == _OP_AND or op == _OP_NAND:
+            if op == OP_AND or op == OP_NAND:
                 acc = mask
                 for s in srcs:
                     acc &= values[s]
-                values[slot] = acc if op == _OP_AND else ~acc & mask
-            elif op == _OP_OR or op == _OP_NOR:
+                values[slot] = acc if op == OP_AND else ~acc & mask
+            elif op == OP_OR or op == OP_NOR:
                 acc = 0
                 for s in srcs:
                     acc |= values[s]
-                values[slot] = acc if op == _OP_OR else ~acc & mask
-            elif op == _OP_BUF:
+                values[slot] = acc if op == OP_OR else ~acc & mask
+            elif op == OP_BUF:
                 values[slot] = values[srcs[0]]
-            elif op == _OP_NOT:
+            elif op == OP_NOT:
                 values[slot] = ~values[srcs[0]] & mask
-            elif op == _OP_XOR or op == _OP_XNOR:
+            elif op == OP_XOR or op == OP_XNOR:
                 acc = 0
                 for s in srcs:
                     acc ^= values[s]
-                values[slot] = acc if op == _OP_XOR else ~acc & mask
-            elif op == _OP_CONST0:
+                values[slot] = acc if op == OP_XOR else ~acc & mask
+            elif op == OP_CONST0:
                 values[slot] = 0
-            else:  # _OP_CONST1
+            else:  # OP_CONST1
                 values[slot] = mask
         return values, evals
-
-    def _evaluate_numpy(
-        self,
-        packed_inputs: Mapping[int, int],
-        width: int,
-        mask: int,
-        over: Dict[int, int],
-    ) -> Tuple[List[int], int]:
-        np = _np
-        nwords = (width + 63) // 64
-        lane_mask = np.full(nwords, _ALL_ONES, dtype=np.uint64)
-        rem = width % 64
-        if rem:
-            lane_mask[-1] = np.uint64((1 << rem) - 1)
-
-        def to_lanes(value: int):
-            return np.frombuffer(
-                (value & mask).to_bytes(nwords * 8, "little"), dtype="<u8"
-            ).astype(np.uint64, copy=True)
-
-        arena = self.arena
-        evalop = arena.evalop
-        fanin = arena.fanin
-        csrc = arena.csrc
-        gid_of = arena.gid_of
-        n = len(arena.alive)
-        values = np.zeros((n, nwords), dtype=np.uint64)
-        evals = 0
-        for slot in arena.sched_order:
-            if slot == -1:
-                continue
-            if slot in over:
-                values[slot] = to_lanes(over[slot])
-                continue
-            op = evalop[slot]
-            if op == _OP_INPUT:
-                values[slot] = to_lanes(packed_inputs.get(gid_of[slot], 0))
-                continue
-            evals += 1
-            srcs = [csrc[c] for c in fanin[slot]]
-            if op == _OP_AND or op == _OP_NAND:
-                acc = lane_mask.copy()
-                for s in srcs:
-                    acc &= values[s]
-                values[slot] = acc if op == _OP_AND else ~acc & lane_mask
-            elif op == _OP_OR or op == _OP_NOR:
-                acc = np.zeros(nwords, dtype=np.uint64)
-                for s in srcs:
-                    acc |= values[s]
-                values[slot] = acc if op == _OP_OR else ~acc & lane_mask
-            elif op == _OP_BUF:
-                values[slot] = values[srcs[0]]
-            elif op == _OP_NOT:
-                values[slot] = ~values[srcs[0]] & lane_mask
-            elif op == _OP_XOR or op == _OP_XNOR:
-                acc = np.zeros(nwords, dtype=np.uint64)
-                for s in srcs:
-                    acc ^= values[s]
-                values[slot] = acc if op == _OP_XOR else ~acc & lane_mask
-            elif op == _OP_CONST0:
-                pass  # already zeros
-            else:  # _OP_CONST1
-                values[slot] = lane_mask
-        lanes = values.astype("<u8", copy=False).tobytes()
-        row = nwords * 8
-        out = [
-            int.from_bytes(lanes[i * row:(i + 1) * row], "little")
-            for i in range(n)
-        ]
-        return out, evals
 
     def _eval_one(self, slot: int, ins: Sequence[int], mask: int) -> int:
         """Evaluate one gate over explicit fanin words (fault path) --
@@ -931,14 +694,11 @@ class ArenaCompiledCircuit:
         packed_inputs: Mapping[int, int],
         width: int,
         good_words: Optional[Sequence[int]] = None,
-        backend: Optional[str] = None,
     ) -> Dict[int, int]:
         """Full faulty-value map keyed by gid, bit-identical to
         ``simulate_fault_packed``."""
         if good_words is None:
-            good_words = self.evaluate_words(
-                packed_inputs, width, backend=backend
-            )
+            good_words = self.evaluate_words(packed_inputs, width)
         diffs = self.fault_diffs(fault, good_words, width)
         arena = self.arena
         return {
@@ -1048,10 +808,7 @@ class CompiledAig:
         self.inputs = list(aig.inputs)
 
     def simulate(
-        self,
-        packed_inputs: Mapping[int, int],
-        width: int,
-        backend: Optional[str] = None,
+        self, packed_inputs: Mapping[int, int], width: int
     ) -> List[int]:
         """Bit-identical to :meth:`Aig.simulate` over the compiled range."""
         if self.aig.num_nodes() != self.num_nodes:
@@ -1059,9 +816,6 @@ class CompiledAig:
                 "CompiledAig is stale: the AIG grew since compile"
             )
         mask = (1 << width) - 1
-        which = resolve_backend(backend, width)
-        if which == "numpy":
-            return self._simulate_numpy(packed_inputs, width, mask)
         values = [0] * self.num_nodes
         for node in self.inputs:
             values[node] = packed_inputs.get(node, 0) & mask
@@ -1072,37 +826,6 @@ class CompiledAig:
             values[node] = v0 & v1
         self.work_add(len(self.ands))
         return values
-
-    def _simulate_numpy(
-        self, packed_inputs: Mapping[int, int], width: int, mask: int
-    ) -> List[int]:
-        np = _np
-        nwords = (width + 63) // 64
-        lane_mask = np.full(nwords, _ALL_ONES, dtype=np.uint64)
-        rem = width % 64
-        if rem:
-            lane_mask[-1] = np.uint64((1 << rem) - 1)
-        values = np.zeros((self.num_nodes, nwords), dtype=np.uint64)
-        for node in self.inputs:
-            values[node] = np.frombuffer(
-                (packed_inputs.get(node, 0) & mask).to_bytes(
-                    nwords * 8, "little"
-                ),
-                dtype="<u8",
-            ).astype(np.uint64, copy=True)
-        zeros = np.zeros(nwords, dtype=np.uint64)
-        neg_words = (zeros, lane_mask)
-        for i, node in enumerate(self.ands):
-            v0 = values[self.fanin_node0[i]] ^ neg_words[self.fanin_neg0[i]]
-            v1 = values[self.fanin_node1[i]] ^ neg_words[self.fanin_neg1[i]]
-            values[node] = v0 & v1
-        self.work_add(len(self.ands))
-        lanes = values.astype("<u8", copy=False).tobytes()
-        row = nwords * 8
-        return [
-            int.from_bytes(lanes[i * row:(i + 1) * row], "little")
-            for i in range(self.num_nodes)
-        ]
 
     def work_add(self, evals: int) -> None:
         _GLOBAL_WORK.gate_evals_good += evals

@@ -1,18 +1,23 @@
 """The process-wide ``REPRO_*`` environment switches are a closed set.
 
 Every switch doubles the configurations tier-1 would have to cover, so
-adding one must be a deliberate edit here and in README.md.
+adding one must be a deliberate edit here and in README.md.  The same
+reasoning covers optional dependencies that change which code runs:
+``repro`` has none, so importing it never pulls in numpy.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 #: the switches ``src/`` may read, each documented in README.md
-ALLOWED = {"REPRO_SIM_BACKEND", "REPRO_NET_LEGACY", "REPRO_NET_BACKEND"}
+ALLOWED = {"REPRO_NET_LEGACY"}
 
 ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
 
@@ -92,3 +97,28 @@ def test_readme_documents_every_switch():
     readme = (ROOT / "README.md").read_text()
     for name in sorted(ALLOWED):
         assert f"`{name}" in readme, name
+
+
+def test_importing_every_repro_module_never_imports_numpy():
+    # a fresh interpreter, so numpy imported by pytest plugins or other
+    # tests cannot leak in; __main__ is skipped because importing it
+    # runs the CLI, and the count check keeps a walk that finds nothing
+    # from passing
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import repro\n"
+        "names = [m.name for m in pkgutil.walk_packages(\n"
+        "    repro.__path__, 'repro.') if not m.name.endswith('.__main__')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "assert len(names) > 50, names\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
