@@ -21,7 +21,8 @@ from conftest import once
 from repro.bench import optimized_mcnc
 from repro.circuits import MCNC_NAMES, carry_skip_adder
 from repro.core import kms
-from repro.sat import SolveCallTracker, check_equivalence
+from repro.counters import Window
+from repro.sat import check_equivalence
 from repro.timing import UnitDelayModel
 
 CSA_SIZES = [(2, 2), (4, 4), (8, 2), (8, 4)]
@@ -33,15 +34,14 @@ _ROWS = []
 
 
 def _ab_row(name, original, optimized):
-    tracker = SolveCallTracker()
     row = {"name": name}
     for method in ("fraig", "cnf"):
-        tracker.reset()
+        window = Window()
         start = time.perf_counter()
         result = check_equivalence(original, optimized, method=method)
         row[method] = {
             "equivalent": result.equivalent,
-            "sat_calls": tracker.calls,
+            "sat_calls": window.delta()["sat_calls"],
             "seconds": time.perf_counter() - start,
         }
     _ROWS.append(row)

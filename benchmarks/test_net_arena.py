@@ -33,7 +33,6 @@ from repro.core import kms
 from repro.engine.hashing import circuit_fingerprint
 from repro.engine.sweep import CSA_SIZES, MCNC_LATE_ARRIVAL, SCALING_SIZES
 from repro.net import LEGACY_ENV
-from repro.sim.kernel import sim_work_counters
 from repro.timing import UnitDelayModel, topological_delay
 
 CSA_MODEL = UnitDelayModel(use_arrival_times=False)
@@ -57,38 +56,30 @@ _ROWS = []
 
 
 def _run_once(circuit, model, legacy):
-    """One timed KMS run under the requested representation.
-
-    ``compile_rebuilds`` is a process-global simulation work counter
-    (every ``CompiledCircuit._compile`` bumps it), so the rebuild work
-    of each run is its delta.
-    """
+    """One timed KMS run under the requested representation."""
     saved = os.environ.get(LEGACY_ENV)
     try:
         if legacy:
             os.environ[LEGACY_ENV] = "1"
         else:
             os.environ.pop(LEGACY_ENV, None)
-        rebuilds_before = sim_work_counters()["compile_rebuilds"]
         start = time.perf_counter()
         result = kms(circuit, mode="static", model=model)
         seconds = time.perf_counter() - start
-        rebuilds = sim_work_counters()["compile_rebuilds"] - rebuilds_before
     finally:
         if saved is None:
             os.environ.pop(LEGACY_ENV, None)
         else:
             os.environ[LEGACY_ENV] = saved
-    return result, seconds, rebuilds
+    return result, seconds
 
 
 def _ab_row(name, suites, circuit, model):
     row = {"name": name, "suites": list(suites)}
     events = {}
     for key, legacy in (("arena", False), ("legacy", True)):
-        result, seconds, rebuilds = _run_once(circuit, model, legacy)
+        result, seconds = _run_once(circuit, model, legacy)
         counters = {k: int(v) for k, v in result.counters.items()}
-        counters["compile_rebuilds"] = rebuilds
         row[key] = {
             "seconds": seconds,
             "iterations": result.iterations,

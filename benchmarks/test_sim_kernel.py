@@ -29,12 +29,9 @@ import pytest
 from conftest import once
 from repro.atpg import collapsed_faults, fault_coverage, random_vectors
 from repro.circuits import MCNC_NAMES, carry_skip_adder, mcnc_circuit
+from repro.counters import Window
 from repro.engine.sweep import CSA_SIZES, SCALING_SIZES
-from repro.sim.kernel import (
-    CompiledCircuit,
-    SimWorkTracker,
-    WORK_COUNTERS,
-)
+from repro.sim.kernel import CompiledCircuit, WORK_COUNTERS
 from repro.sim.parallel import pack_vectors
 
 #: Union of the Table I and scaling carry-skip configurations; each row
@@ -94,14 +91,15 @@ def _ab_row(name, suites, circuit):
         "vectors": len(vectors),
     }
 
-    tracker = SimWorkTracker()
+    window = Window()
     start = time.perf_counter()
     fast = fault_coverage(circuit, faults, vectors, block=BLOCK)
+    work = window.delta()
     row["kernel"] = {
         "seconds": time.perf_counter() - start,
         "coverage": fast.coverage,
         "detected": fast.detected,
-        "counters": dict(tracker.counters),
+        "counters": {name: work[name] for name in WORK_COUNTERS},
     }
 
     start = time.perf_counter()

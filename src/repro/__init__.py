@@ -15,7 +15,8 @@ Subpackages: ``network`` (circuit DAG), ``sim`` (logic/event simulation),
 viability), ``atpg`` (PODEM, SAT-ATPG, fault sim), ``twolevel``
 (espresso-lite), ``synth`` (multilevel synthesis + timing optimization),
 ``core`` (the KMS algorithm), ``circuits`` (generators), ``io``
-(BLIF/PLA), ``bench`` (table/figure regeneration).
+(BLIF/PLA), ``bench`` (table/figure regeneration), ``counters`` (the
+one store of deterministic work counters).
 """
 
 from .network import Builder, Circuit, GateType, decompose_complex_gates

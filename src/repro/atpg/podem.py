@@ -19,6 +19,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..counters import count
 from ..network import (
     Circuit,
     GateType,
@@ -60,10 +61,6 @@ class Podem:
     def __init__(self, circuit: Circuit, backtrack_limit: int = 20000):
         self.circuit = circuit
         self.backtrack_limit = backtrack_limit
-        #: accumulated over every :meth:`generate` call on this instance;
-        #: telemetry surfaces these as ``podem_calls`` /
-        #: ``podem_backtracks`` / ``podem_aborts``.
-        self.stats = {"calls": 0, "backtracks": 0, "aborts": 0}
         # static order: prefer objectives closer to outputs
         self._depth: Dict[int, int] = {}
         for gid in circuit.topological_order():
@@ -202,12 +199,14 @@ class Podem:
     # -- the search ------------------------------------------------------#
 
     def generate(self, fault: Fault) -> PodemResult:
-        """Run PODEM for one fault."""
+        """Run PODEM for one fault, counting ``podem_calls``,
+        ``podem_backtracks`` and ``podem_aborts``
+        (:mod:`repro.counters`)."""
         result = self._generate(fault)
-        self.stats["calls"] += 1
-        self.stats["backtracks"] += result.backtracks
+        count("podem_calls")
+        count("podem_backtracks", result.backtracks)
         if result.status is Status.ABORTED:
-            self.stats["aborts"] += 1
+            count("podem_aborts")
         return result
 
     def _generate(self, fault: Fault) -> PodemResult:

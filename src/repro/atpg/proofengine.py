@@ -55,9 +55,9 @@ seed and witness history change how much work a step costs, never
 which fault it removes.  The from-scratch oracle applies the same rule
 with PODEM plus a SAT fallback, so engine and oracle take identical steps.
 The deterministic work counters -- exact functions of circuit + seed --
-are exported through :class:`repro.core.kms.KmsResult`, engine
-telemetry, and the CLI, and gate the ``atpg`` row of the ``perf-gate``
-CI job.
+are counted in :mod:`repro.counters`, so :class:`repro.core.kms.KmsResult`,
+engine telemetry and the CLI report them, and they gate the ``atpg`` row
+of the ``perf-gate`` CI job.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..counters import count
 from ..network import Circuit
 from ..sat import CircuitEncoder, Solver
 from ..sim.kernel import refresh_compiled
@@ -84,9 +85,9 @@ UNTESTABLE = "untestable"
 #: Vectors per adaptive growth step: one 64-lane simulation word.
 WORD = 64
 
-#: Deterministic work counters the engine exports (telemetry glossary in
-#: :mod:`repro.engine.telemetry`; CI gate in
-#: ``benchmarks/compare_baseline.py``).
+#: The engine's work counters (glossary in :mod:`repro.counters`), in
+#: the order ``repro atpg`` prints them.  ``learned_kept`` and
+#: ``learned_dropped`` are counted by the epoch solver's reductions.
 PROOF_COUNTERS = (
     "faults_requalified",
     "verdicts_carried",
@@ -156,7 +157,6 @@ class ProofEngine:
     ) -> None:
         self.circuit = circuit
         self.jobs = jobs
-        self.counters: Dict[str, int] = {name: 0 for name in PROOF_COUNTERS}
         self._verdicts: Dict[Fault, str] = {}
         self._rng = random.Random(seed)
         self._vectors = draw_vectors(circuit, self._rng, patterns)
@@ -168,7 +168,6 @@ class ProofEngine:
         self._good_var: Dict[int, int] = {}
         self._true_lit = 0
         self._solver_version: Optional[int] = None
-        self._solver_stats_mark = (0, 0)
 
     # ------------------------------------------------------------------ #
     # invalidation
@@ -221,13 +220,13 @@ class ProofEngine:
             else collapsed_faults(self.circuit)
         )
         pending = [f for f in universe if f not in self._verdicts]
-        self.counters["verdicts_carried"] += len(universe) - len(pending)
-        self.counters["faults_requalified"] += len(pending)
+        count("verdicts_carried", len(universe) - len(pending))
+        count("faults_requalified", len(pending))
         if pending and self._vectors:
             pending = self._grade(pending, self._vector_corpus())
         while pending:
             word = draw_vectors(self.circuit, self._rng, WORD)
-            self.counters["random_words"] += 1
+            count("random_words")
             survivors = self._grade(pending, word)
             if len(survivors) == len(pending):
                 break
@@ -274,7 +273,7 @@ class ProofEngine:
         targets = [f for f in universe if f not in self._verdicts]
         if targets:
             drops = len(targets) - len(self._grade(targets, [vector]))
-            self.counters["witness_drops"] += drops
+            count("witness_drops", drops)
 
     # ------------------------------------------------------------------ #
     # the epoch SAT solver
@@ -287,36 +286,17 @@ class ProofEngine:
             self._solver is not None
             and self._solver_version == self.circuit.version
         ):
-            self.counters["cnf_reuses"] += 1
+            count("cnf_reuses")
             return self._solver
-        self._harvest_solver_stats()
         encoder = CircuitEncoder()
         self._good_var = encoder.encode(self.circuit)
-        self.counters["tseitin_builds"] += 1
+        count("tseitin_builds")
         solver = Solver(encoder.cnf, learned_cap=EPOCH_LEARNED_CAP)
         self._true_lit = solver.new_var()
         solver.add_clause((self._true_lit,))
         self._solver = solver
         self._solver_version = self.circuit.version
-        self._solver_stats_mark = (0, 0)
         return solver
-
-    def _harvest_solver_stats(self) -> None:
-        """Fold the retiring epoch solver's learned-DB counters into the
-        engine counters (delta since the last harvest)."""
-        if self._solver is None:
-            return
-        kept, dropped = self._solver_stats_mark
-        self.counters["learned_kept"] += (
-            self._solver.stats["learned_kept"] - kept
-        )
-        self.counters["learned_dropped"] += (
-            self._solver.stats["learned_dropped"] - dropped
-        )
-        self._solver_stats_mark = (
-            self._solver.stats["learned_kept"],
-            self._solver.stats["learned_dropped"],
-        )
 
     def _sat_qualify(self, fault: Fault, universe: Sequence[Fault]) -> str:
         """Complete decision for one simulation survivor on the epoch
@@ -329,8 +309,7 @@ class ProofEngine:
             self.circuit, fault, solver, self._good_var,
             self._true_lit, act,
         )
-        self.counters["sat_proofs"] += 1
-        self._harvest_solver_stats()
+        count("sat_proofs")
         if not testable:
             self._verdicts[fault] = UNTESTABLE
             return UNTESTABLE
@@ -417,7 +396,7 @@ class ProofEngine:
                 self._verdicts[fault] = (
                     TESTABLE if testable else UNTESTABLE
                 )
-                self.counters["sat_proofs"] += 1
+                count("sat_proofs")
 
 
 # ---------------------------------------------------------------------- #

@@ -31,8 +31,9 @@ collapsed order at every step:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
+from ..counters import Window, count
 from ..network import Circuit, GateType
 from ..network.transform import (
     propagate_constants,
@@ -42,9 +43,9 @@ from ..network.transform import (
 from .faults import CONN, Fault, collapsed_faults
 from .satatpg import SatAtpg
 
-#: PODEM effort of the from-scratch oracle, reported next to the
-#: :data:`repro.atpg.proofengine.PROOF_COUNTERS` in its
-#: :class:`RemovalResult` (the proof engine runs no PODEM).
+#: PODEM effort of the from-scratch oracle, counted by
+#: :meth:`repro.atpg.podem.Podem.generate` (the proof engine runs no
+#: PODEM).
 ORACLE_COUNTERS = ("podem_calls", "podem_backtracks", "podem_aborts")
 
 
@@ -64,9 +65,8 @@ class RemovalResult:
 
     circuit: Circuit
     steps: List[RemovalStep] = field(default_factory=list)
-    #: deterministic proof-work counters (see
-    #: :data:`repro.atpg.proofengine.PROOF_COUNTERS`); filled by both
-    #: drivers so the A/B benchmark can compare like for like.
+    #: the work counted during the call (:mod:`repro.counters`), so
+    #: the A/B benchmark compares both drivers like for like.
     counters: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -123,10 +123,7 @@ def _undetected_by_random(
 
 
 def _next_redundant_scratch(
-    work: Circuit,
-    backtrack_limit: int,
-    patterns: int,
-    counters: Dict[str, int],
+    work: Circuit, backtrack_limit: int, patterns: int
 ) -> Optional[Fault]:
     """One from-scratch oracle iteration: the first untestable suspect
     in collapsed order.  PODEM settles each suspect; an abort goes to
@@ -135,7 +132,7 @@ def _next_redundant_scratch(
 
     universe = collapsed_faults(work)
     # no verdict cache: the whole universe is qualified from scratch
-    counters["faults_requalified"] += len(universe)
+    count("faults_requalified", len(universe))
     suspects = _undetected_by_random(work, universe, patterns=patterns)
     podem = Podem(work, backtrack_limit=backtrack_limit)
     sat: Optional[SatAtpg] = None
@@ -145,52 +142,42 @@ def _next_redundant_scratch(
         if status is Status.ABORTED:
             if sat is None:
                 sat = SatAtpg(work)
-                counters["tseitin_builds"] += 1
-            counters["sat_proofs"] += 1
-            counters["tseitin_builds"] += 1  # fresh faulty CNF per query
+                count("tseitin_builds")
+            count("sat_proofs")
+            count("tseitin_builds")  # fresh faulty CNF per query
             untestable = sat.is_redundant(candidate)
         else:
             untestable = status is Status.UNTESTABLE
         if untestable:
             fault = candidate
             break
-    counters["podem_calls"] += podem.stats["calls"]
-    counters["podem_backtracks"] += podem.stats["backtracks"]
-    counters["podem_aborts"] += podem.stats["aborts"]
     return fault
 
 
 def remove_redundancies(
     circuit: Circuit,
-    choose: Optional[Callable[[List[Fault]], Fault]] = None,
     max_iterations: int = 10000,
     incremental: bool = True,
     backtrack_limit: int = 100,
     patterns: int = 64,
-    jobs: Optional[int] = None,
 ) -> RemovalResult:
     """Iteratively remove untestable faults until the circuit is
     irredundant.
 
-    ``choose`` picks which redundancy to remove next from the nonempty
-    list of currently-untestable collapsed faults (default: the first in
-    the deterministic fault-list order; in that default mode the scan
-    stops at the first untestable fault instead of proving the whole
-    list, and a fault-simulation prefilter skips proofs for
-    easily-testable faults).  The input circuit is not modified; the
-    result holds the transformed copy.
+    Each step removes the first untestable fault in the deterministic
+    collapsed-fault order; the scan stops at that fault instead of
+    proving the whole list, and random-pattern fault simulation skips
+    proofs for easily-testable faults.  The input circuit is not
+    modified; the result holds the transformed copy.
 
     ``incremental`` selects the persistent proof engine (default) or the
-    from-scratch oracle.  In the default mode both remove the first
-    untestable fault in collapsed order at every step, so they take the
-    same steps whatever ``patterns`` (the initial random pool; the
-    engine grows its pool adaptively from there) and
-    ``backtrack_limit`` are.  ``backtrack_limit`` is the oracle's PODEM
-    budget per fault (the funnel's classic 100) and feeds only the
-    oracle: the proof engine runs no PODEM.  ``jobs`` shards the
-    survivors' SAT proofs in the ``choose`` path's full classifications
-    (serial otherwise).
+    from-scratch oracle.  Both take the same steps whatever ``patterns``
+    (the initial random pool; the engine grows its pool adaptively from
+    there) and ``backtrack_limit`` are.  ``backtrack_limit`` is the
+    oracle's PODEM budget per fault (the funnel's classic 100) and feeds
+    only the oracle: the proof engine runs no PODEM.
     """
+    window = Window()
     work = circuit.copy(f"{circuit.name}#irr")
     # Removal mutates `work` heavily (one remove + kernel refresh +
     # proof-region invalidation per redundancy); the arena keeps the
@@ -198,38 +185,19 @@ def remove_redundancies(
     # of it.  REPRO_NET_LEGACY=1 keeps the object-graph path verbatim.
     from ..net import attach_arena, net_enabled
 
-    arena = attach_arena(work) if net_enabled() else None
+    if net_enabled():
+        attach_arena(work)
     steps: List[RemovalStep] = []
-    counters: Dict[str, int] = {}
     engine = None
     if incremental:
         from .proofengine import ProofEngine
 
-        engine = ProofEngine(work, patterns=patterns, jobs=jobs)
-        counters = engine.counters
-    else:
-        from .proofengine import PROOF_COUNTERS
-
-        counters = dict.fromkeys(PROOF_COUNTERS + ORACLE_COUNTERS, 0)
+        engine = ProofEngine(work, patterns=patterns)
     for _ in range(max_iterations):
-        if choose is not None:
-            if engine is not None:
-                # lazy funnel: carried verdicts make each re-proof
-                # cone-local instead of whole-universe
-                redundant = engine.redundant_faults()
-            else:
-                from .satatpg import redundant_faults
-
-                redundant = redundant_faults(work, incremental=False)
-            if not redundant:
-                break
-            fault = choose(redundant)
-        elif engine is not None:
+        if engine is not None:
             fault = engine.next_redundant()
         else:
-            fault = _next_redundant_scratch(
-                work, backtrack_limit, patterns, counters
-            )
+            fault = _next_redundant_scratch(work, backtrack_limit, patterns)
         if fault is None:
             break
         before = work.num_gates()
@@ -248,14 +216,7 @@ def remove_redundancies(
         )
     else:
         raise RuntimeError("redundancy removal did not converge")
-    out = dict(counters)
-    if arena is not None:
-        for name, value in arena.counters.items():
-            out[name] = out.get(name, 0) + value
-        out["arena_full_builds"] = (
-            out.get("arena_full_builds", 0) + arena.full_builds
-        )
-    return RemovalResult(circuit=work, steps=steps, counters=dict(out))
+    return RemovalResult(circuit=work, steps=steps, counters=window.delta())
 
 
 def is_irredundant(circuit: Circuit, incremental: bool = True) -> bool:

@@ -126,29 +126,24 @@ def cmd_timing(args) -> int:
 
 
 def cmd_atpg(args) -> int:
-    from .sim.kernel import SimWorkTracker
+    from .atpg import PROOF_COUNTERS
+    from .counters import Window
+    from .sim.kernel import WORK_COUNTERS
 
-    sim_tracker = SimWorkTracker()
+    window = Window()
     circuit = _load(args.input)
     faults = collapsed_faults(circuit)
     print(f"collapsed faults : {len(faults)}")
-    proof_counters = {}
-    if args.no_proofengine:
-        redundant = redundant_faults(circuit, faults, incremental=False)
-    else:
-        from .atpg import ProofEngine
-
-        engine = ProofEngine(circuit, jobs=args.jobs)
-        redundant = engine.redundant_faults(faults)
-        proof_counters = engine.counters
+    redundant = redundant_faults(
+        circuit, faults, incremental=not args.no_proofengine, jobs=args.jobs
+    )
     print(f"redundant faults : {len(redundant)}")
     for fault in redundant:
         print(f"  {fault.describe(circuit)}")
-    if proof_counters:
+    if not args.no_proofengine:
         # deterministic proof-work counters, on stderr like the kernel's
-        proof = ", ".join(
-            f"{k}={v}" for k, v in proof_counters.items()
-        )
+        work = window.delta()
+        proof = ", ".join(f"{k}={work[k]}" for k in PROOF_COUNTERS)
         print(f"proof work       : {proof}", file=sys.stderr)
     if not args.tests:
         return 0
@@ -171,10 +166,9 @@ def cmd_atpg(args) -> int:
     print(f"fault coverage   : {final.coverage:.1%}")
     # deterministic kernel work counters, on stderr so scripted stdout
     # parsing stays stable
-    work = ", ".join(
-        f"{k}={v}" for k, v in sim_tracker.counters.items()
-    )
-    print(f"sim kernel work  : {work}", file=sys.stderr)
+    work = window.delta()
+    sim = ", ".join(f"{k}={work[k]}" for k in WORK_COUNTERS)
+    print(f"sim kernel work  : {sim}", file=sys.stderr)
     return 0
 
 

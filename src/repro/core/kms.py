@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..counters import Window, count
 from ..network import (
     Circuit,
     controlling_value,
@@ -88,16 +89,10 @@ class KmsResult:
     cleanup_steps: int = 0
     #: total gates duplicated across all iterations.
     duplicated_gates: int = 0
-    #: deterministic work counters (arrival_relaxations,
-    #: dist_relaxations, paths_enumerated, viability_checks_exact,
-    #: viability_checks_prefiltered -- see docs/TIMING.md for their
-    #: meaning in each mode -- plus the cleanup phase's
-    #: redundancy-proof counters listed in
-    #: :data:`repro.atpg.proofengine.PROOF_COUNTERS`, and with
-    #: ``incremental=False`` the oracle's ``podem_*`` effort); the
-    #: engine exports these through telemetry and the CI perf gates
-    #: compare them against the committed baselines.
-    counters: Dict[str, float] = field(default_factory=dict)
+    #: the work counted during the call, loop and cleanup alike: every
+    #: counter of :mod:`repro.counters`; the CI perf gates compare them
+    #: against the committed baselines.
+    counters: Dict[str, int] = field(default_factory=dict)
 
     @property
     def iterations(self) -> int:
@@ -153,27 +148,19 @@ def kms(
             "run decompose_complex_gates first"
         )
     model = model if model is not None else AsBuiltDelayModel()
+    window = Window()
     work = circuit.copy(f"{circuit.name}#kms")
-    from ..atpg.proofengine import PROOF_COUNTERS
-    from ..net import ARENA_COUNTERS, attach_arena, net_enabled
+    from ..net import attach_arena, net_enabled
 
     # The working copy is where all the mutation happens; attach the
     # struct-of-arrays arena so every transform maintains the flat
     # representation (simulation schedule, fingerprints, cones) in
     # place.  REPRO_NET_LEGACY=1 skips the attach and the whole run
     # falls back to the object-graph path -- the A/B oracle.
-    arena = attach_arena(work) if net_enabled() else None
+    if net_enabled():
+        attach_arena(work)
 
     result = KmsResult(circuit=work)
-    counters = result.counters
-    for name in (
-        "arrival_relaxations",
-        "dist_relaxations",
-        "paths_enumerated",
-        "viability_checks_exact",
-        "viability_checks_prefiltered",
-    ) + PROOF_COUNTERS + ARENA_COUNTERS:
-        counters[name] = 0
 
     baseline_delay = None
     if checked:
@@ -191,12 +178,12 @@ def kms(
         else:
             ann = analyze(work, model)
             # a full pass relaxes every gate once per direction
-            counters["arrival_relaxations"] += len(work.gates)
-            counters["dist_relaxations"] += len(work.gates)
+            count("arrival_relaxations", len(work.gates))
+            count("dist_relaxations", len(work.gates))
         if ann.delay <= 0:
             break
         target = _find_unsensitizable_longest_path(
-            work, model, mode, ann, counters, timing
+            work, model, mode, ann, timing
         )
         if target is None:
             break  # some longest path is sensitizable/viable: loop exits
@@ -216,10 +203,6 @@ def kms(
             _check_invariants(circuit, work, model, baseline_delay)
         iteration += 1
 
-    if timing is not None:
-        for name, value in timing.counters().items():
-            counters[name] += value
-
     # Duplicated chains whose siblings were later tied off are often
     # structurally identical again; fold them before the cleanup phase.
     # Strash merges only (type, delay, fanin)-identical gates, so path
@@ -234,19 +217,12 @@ def kms(
     from ..atpg.redundancy import remove_redundancies
 
     cleanup = remove_redundancies(work, incremental=incremental)
-    for name, value in cleanup.counters.items():
-        counters[name] = counters.get(name, 0) + value
-    if arena is not None:
-        for name, value in arena.counters.items():
-            counters[name] = counters.get(name, 0) + value
-        counters["arena_full_builds"] = (
-            counters.get("arena_full_builds", 0) + arena.full_builds
-        )
     result.circuit = cleanup.circuit
     result.circuit.name = f"{circuit.name}#kms"
     result.cleanup_steps = cleanup.removed
     if checked:
         _check_invariants(circuit, result.circuit, model, baseline_delay)
+    result.counters = window.delta()
     return result
 
 
@@ -260,7 +236,6 @@ def _find_unsensitizable_longest_path(
     model: DelayModel,
     mode: str,
     annotation,
-    counters: Dict[str, float],
     timing: Optional[IncrementalTiming] = None,
 ) -> Optional[Path]:
     """Return a longest path to operate on, or None when some longest
@@ -276,7 +251,7 @@ def _find_unsensitizable_longest_path(
     if timing is not None:
         if timing.check_path():
             return None
-        counters["paths_enumerated"] += 1
+        count("paths_enumerated")
         return next(iter_paths_longest_first(work, model, annotation))
     checker = (
         ViabilityChecker(work, model, annotation=annotation)
@@ -290,8 +265,8 @@ def _find_unsensitizable_longest_path(
     for path in iter_paths_longest_first(work, model, annotation):
         if path.length < annotation.delay - EPS:
             break
-        counters["paths_enumerated"] += 1
-        counters["viability_checks_exact"] += 1
+        count("paths_enumerated")
+        count("viability_checks_exact")
         if exact(path):
             return None
         if first is None:

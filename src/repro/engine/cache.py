@@ -25,7 +25,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-SCHEMA = "repro.engine.cache/1"
+SCHEMA = "repro.engine.cache/2"
 
 
 def cache_key(circuit_hash: str, stage: str, params: Dict[str, Any]) -> str:

@@ -14,7 +14,11 @@ Around every stage call the runner handles, uniformly:
   automatically when an upstream transformation changed anything, and
   two pipeline positions that happen to see the same circuit share one
   entry;
-* wall-clock timing and SAT-call attribution into telemetry records;
+* wall-clock timing and work-counter attribution into telemetry
+  records: an executed record's counters are the stage's descriptive
+  counters plus the delta of a :class:`repro.counters.Window` over the
+  attempt; the cache stores only the descriptive ones, so a hit
+  replays no work;
 * a per-stage timeout (SIGALRM-based, so a pathological circuit cannot
   hang a sweep) and retry-once semantics before the job is failed.
 
@@ -33,10 +37,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from ..counters import Window
 from ..network import Circuit
-from ..sat import SolveCallTracker
-from ..sim.kernel import WORK_COUNTERS as SIM_WORK_COUNTERS
-from ..sim.kernel import SimWorkTracker
 from .cache import ResultCache
 from .hashing import circuit_fingerprint
 from .serialize import circuit_from_dict, circuit_to_dict
@@ -249,21 +251,13 @@ def _execute_call(
                 if entry.get("circuit") is not None
                 else circuit
             )
-            # replay descriptive counters (gate counts, redundancies)
-            # but not work counters -- this run did no SAT calls and
-            # no gate evaluations.
-            skip = ("sat_calls", "attempt") + SIM_WORK_COUNTERS
-            counters = {
-                k: v for k, v in entry.get("counters", {}).items()
-                if k not in skip
-            }
             telemetry.add(StageRecord(
                 job=job_name,
                 stage=stage.name,
                 label=call.key,
                 seconds=now() - start,
                 cache=CACHE_HIT,
-                counters=counters,
+                counters=dict(entry.get("counters", {})),
             ))
             return StageOutcome(
                 restored, dict(entry["payload"]),
@@ -273,12 +267,9 @@ def _execute_call(
 
     attempts = max(1, config.retries + 1)
     last_exc: Optional[BaseException] = None
-    tracker = SolveCallTracker()
-    sim_tracker = SimWorkTracker()
     for attempt in range(attempts):
         attempt_start = now()
-        tracker.reset()
-        sim_tracker.reset()
+        window = Window()
         try:
             outcome = _call_with_timeout(
                 lambda: stage.fn(circuit, call.params, ctx),
@@ -292,19 +283,11 @@ def _execute_call(
                 label=call.key,
                 seconds=now() - attempt_start,
                 cache=cache_state or CACHE_UNCACHEABLE,
-                counters={"sat_calls": tracker.calls,
-                          "attempt": attempt + 1},
+                counters={**window.delta(), "attempt": attempt + 1},
                 error=f"{type(exc).__name__}: {exc}",
             ))
             continue
-        counters = dict(outcome.counters)
-        counters["sat_calls"] = tracker.calls
-        # per-stage simulation-kernel work attribution, same
-        # snapshot/delta pattern as the SAT call counter; only stages
-        # that actually simulated carry the keys
-        for name, value in sim_tracker.counters.items():
-            if value:
-                counters[name] = value
+        counters = {**outcome.counters, **window.delta()}
         if attempt:
             counters["attempt"] = attempt + 1
         telemetry.add(StageRecord(
@@ -318,7 +301,7 @@ def _execute_call(
         if cache_state == CACHE_MISS:
             cache.put(fingerprint, stage.name, call.params, {
                 "payload": outcome.payload,
-                "counters": counters,
+                "counters": outcome.counters,
                 "circuit": (
                     circuit_to_dict(outcome.circuit)
                     if outcome.changed else None

@@ -3,7 +3,7 @@
 A *stage* is a pure function ``(circuit, params, ctx) -> StageOutcome``
 over a circuit flowing through a pipeline.  Stages declare whether their
 result may be cached; the runner handles fingerprinting, cache lookup,
-timing, and SAT-call attribution around them, so stage bodies stay
+timing, and work-counter attribution around them, so stage bodies stay
 algorithm-only.
 
 ``params`` must be JSON-able (they are part of the cache key) with one
@@ -48,8 +48,11 @@ class StageOutcome:
     """What one stage call produced.
 
     ``circuit`` flows into the next stage; ``payload`` is the JSON-able
-    result recorded (and cached); ``changed`` marks a transforming stage
-    whose output circuit must be serialized into the cache entry.
+    result recorded (and cached); ``counters`` describe the result
+    (gate counts, redundancies), never the work -- the runner adds that
+    from a :class:`repro.counters.Window`; ``changed`` marks a
+    transforming stage whose output circuit must be serialized into the
+    cache entry.
     """
 
     circuit: Circuit
@@ -210,22 +213,17 @@ def _stage_speed_up(
 def _stage_atpg(
     circuit: Circuit, params: Dict[str, Any], ctx: Dict[str, Any]
 ) -> StageOutcome:
-    if params.get("incremental", True):
-        from ..atpg import ProofEngine
+    from ..atpg import redundant_faults
 
-        engine = ProofEngine(circuit, jobs=params.get("jobs"))
-        red = len(engine.redundant_faults())
-        proof_counters = dict(engine.counters)
-    else:
-        from ..atpg import count_redundancies
-
-        red = count_redundancies(circuit, incremental=False)
-        proof_counters = {}
+    red = len(redundant_faults(
+        circuit,
+        incremental=params.get("incremental", True),
+        jobs=params.get("jobs"),
+    ))
     return StageOutcome(
         circuit,
         {"redundancies": red},
-        counters={"redundancies": red, "gates_in": circuit.num_gates(),
-                  **proof_counters},
+        counters={"redundancies": red, "gates_in": circuit.num_gates()},
     )
 
 
@@ -259,11 +257,9 @@ def _stage_kms(
             "cleanup_steps": result.cleanup_steps,
             "gates_initial": circuit.num_gates(),
             "gates_final": result.circuit.num_gates(),
-            "counters": dict(result.counters),
         },
         counters={"gates_in": circuit.num_gates(),
-                  "gates_out": result.circuit.num_gates(),
-                  **result.counters},
+                  "gates_out": result.circuit.num_gates()},
         changed=True,
     )
 
@@ -383,7 +379,6 @@ def _stage_fuzz_grade(
         "proved": payload["proved"],
         "mismatches": len(payload["mismatches"]),
         "gates_final": payload["gates_final"],
-        **payload["counters"],
     }
     return StageOutcome(circuit, payload, counters=counters)
 

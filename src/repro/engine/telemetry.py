@@ -16,7 +16,8 @@ JSON schema (``to_dict``):
   "records": [
     {"job": "csa 2.2", "stage": "kms", "label": "kms",
      "seconds": 1.23, "cache": "miss",        # hit|miss|off|uncacheable
-     "counters": {"gates_in": 23, "gates_out": 18, "sat_calls": 41},
+     "counters": {"gates_in": 23, "gates_out": 18, "sat_calls": 41,
+                  ...every repro.counters name...},
      "error": null},
     ...
   ],
@@ -32,54 +33,11 @@ executed, result stored), ``off`` (cacheable but no cache configured),
 count as zero stage executions -- the warm-cache acceptance check is
 ``stage_executions["kms"] == 0``.
 
-KMS stage records additionally carry the deterministic work counters of
-the incremental timing engine (see :mod:`repro.timing.incremental` and
-``docs/TIMING.md``): ``arrival_relaxations`` / ``dist_relaxations``
-(per-gate STA recomputations, forward and backward),
-``paths_enumerated`` (longest paths the loop took from the enumerator:
-one per iteration), and ``viability_checks_prefiltered`` /
-``viability_checks_exact`` (how each loop test -- "does some longest
-path qualify?" -- was answered: by the packed-simulation reach pass or
-by one SAT solve).  With ``incremental=False``, ``paths_enumerated``
-and ``viability_checks_exact`` count every longest path the per-path
-reference enumerated and checked.  These are exact functions of
-circuit + seed --
-no wall-clock jitter -- which is what lets CI gate on them
-(``benchmarks/compare_baseline.py``, ``kms`` perf-gate row).
-
-Stages that simulate through the compiled kernel
-(:mod:`repro.sim.kernel` -- fault grading in ``atpg``, the loop test's
-reach pass inside ``kms``, fraig signature refinement) additionally carry
-the kernel's work counters, attributed per stage by
-:class:`repro.sim.kernel.SimWorkTracker` exactly like ``sat_calls``:
-``gate_evals_good`` (gate evaluations in good-circuit packed
-simulation), ``gate_evals_faulty`` (gate evaluations in event-driven
-faulty cones), ``cone_cutoffs`` (cone frontier nodes whose good/faulty
-difference word went to zero), and ``faults_dropped`` (faults removed
-from an active list after detection).  Equally deterministic, equally
-gateable (``benchmarks/compare_baseline.py``, ``sim`` perf-gate
-row); cache hits replay
-none of them.
-
-``atpg`` stage records -- and ``kms`` records, via the cleanup phase --
-carry the redundancy-proof engine's counters
-(:data:`repro.atpg.proofengine.PROOF_COUNTERS`, see ``docs/ATPG.md``).
-The engine works simulate-then-SAT:
-``faults_requalified`` / ``verdicts_carried`` (faults re-proved from
-scratch vs served from the verdict cache after a removal),
-``random_words`` (64-vector random words the adaptive pool drew,
-including each epoch's word that detected nothing and stopped the
-growth), ``witness_drops`` (unresolved faults settled by replaying a
-SAT witness through the compiled kernel), ``cnf_reuses`` /
-``tseitin_builds`` (epoch SAT solvers reused vs freshly encoded),
-``sat_proofs`` (assumption-gated SAT qualifications of random-pool
-survivors), and ``learned_kept`` / ``learned_dropped`` (epoch-solver
-learned-clause retention).  The from-scratch oracle
-(``incremental=False``) reports the same names plus its PODEM effort,
-``podem_calls`` / ``podem_backtracks`` / ``podem_aborts``.  Exact
-functions of circuit + seed, gated by
-``benchmarks/compare_baseline.py`` against the committed
-``BENCH_atpg_baseline.json``.
+An executed record's counters are the stage's descriptive counters
+(gate counts, redundancies) plus every work counter of
+:mod:`repro.counters` -- the one glossary of them -- as the delta of a
+window over the attempt.  The cache stores only the descriptive
+counters, so a hit record carries no work.
 """
 
 from __future__ import annotations

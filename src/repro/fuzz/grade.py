@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from ..counters import Window
 from ..network import Circuit
 from .plant import NEUTRAL, PlantResult, plant_redundancies
 
@@ -119,15 +120,6 @@ class _Mismatches:
         self.items.append(item)
 
 
-def _merge_counters(
-    into: Dict[str, float], counters: Dict[str, float], prefix: str = ""
-) -> None:
-    for key, value in counters.items():
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            name = f"{prefix}{key}"
-            into[name] = into.get(name, 0) + value
-
-
 def grade_scenario(
     spec: ScenarioSpec,
     oracle: bool = True,
@@ -170,14 +162,16 @@ def grade_scenario(
         )
 
     # --- classification recall on the exact planted list ------------- #
+    window = Window()
     if classifier is not None:
         proved = set(classifier(circuit, faults))
     elif incremental:
-        engine = ProofEngine(circuit)
-        proved = set(engine.redundant_faults(faults))
-        _merge_counters(counters, engine.counters, "proof_")
+        proved = set(ProofEngine(circuit).redundant_faults(faults))
     else:
         proved = set(redundant_faults(circuit, faults, incremental=False))
+    counters.update(
+        (f"proof_{name}", value) for name, value in window.delta().items()
+    )
     missed = [f for f in faults if f not in proved]
     for fault in missed:
         mismatches.add(
@@ -234,8 +228,10 @@ def grade_scenario(
         incremental=incremental,
     )
     final = result.circuit
-    _merge_counters(counters, result.counters, "kms_")
-    counters["kms_iterations"] = counters.get("kms_iterations", 0) + result.iterations
+    counters.update(
+        (f"kms_{name}", value) for name, value in result.counters.items()
+    )
+    counters["kms_iterations"] = result.iterations
 
     if not check_equivalence(base, final, method="fraig").equivalent:
         mismatches.add(

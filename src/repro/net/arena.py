@@ -48,10 +48,13 @@ Three maintenance mechanisms make the arena cheap to keep fresh:
   :func:`repro.engine.hashing.circuit_fingerprint` no longer re-walks
   the object graph.
 
-Deterministic counters (exported through ``KmsResult`` and gated by the
-``arena`` row of the CI perf-gate matrix against
+Deterministic counters (counted in :mod:`repro.counters`, so they
+reach ``KmsResult`` and the stage records, and gated by the ``arena``
+row of the CI perf-gate matrix against
 ``benchmarks/baselines/BENCH_arena_baseline.json``):
 
+* ``arena_full_builds``       -- from-scratch array builds (one per
+  attach);
 * ``arena_compactions``       -- free-list GC compactions run;
 * ``array_ops_inplace``       -- in-place array mutations applied by
   the hooks (the transforms' work, measured on the arrays);
@@ -72,6 +75,7 @@ import heapq
 import os
 from typing import Dict, Iterable, List, Optional, Set
 
+from ..counters import count
 from ..network.circuit import Circuit, CircuitError
 from ..network.gates import GateType
 from ..sim.opcodes import OPCODE
@@ -79,7 +83,7 @@ from ..sim.opcodes import OPCODE
 #: Environment variable forcing the legacy object-graph path (A/B oracle).
 LEGACY_ENV = "REPRO_NET_LEGACY"
 
-#: The arena's deterministic work counters, in canonical order.
+#: The arena's work counters gated by the ``arena`` perf gate.
 ARENA_COUNTERS = (
     "arena_compactions",
     "array_ops_inplace",
@@ -125,10 +129,6 @@ class NetArena:
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.counters: Dict[str, int] = {k: 0 for k in ARENA_COUNTERS}
-        #: informational: full from-scratch array builds (1 per attach
-        #: unless the interface changes out from under the hooks).
-        self.full_builds = 0
         #: informational: Pearce-Kelly order repairs and slots moved.
         self.pk_reorders = 0
         self.pk_slots_moved = 0
@@ -183,7 +183,7 @@ class NetArena:
         the hooks maintain everything in place."""
         circuit = self.circuit
         self._new_arrays()
-        self.full_builds += 1
+        count("arena_full_builds")
         order = circuit.topological_order()
         for gid in order:
             gate = circuit.gates[gid]
@@ -260,7 +260,7 @@ class NetArena:
     # ------------------------------------------------------------------ #
 
     def _touch(self, n: int = 1) -> None:
-        self.counters["array_ops_inplace"] += n
+        count("array_ops_inplace", n)
         self.version += 1
 
     def on_add_gate(self, gid: int, gtype: GateType, delay: float) -> None:
@@ -480,7 +480,7 @@ class NetArena:
         self._fp_all_dirty = fp_all
         self.version = version + 1
         self.topo_version = topo_version + 1
-        self.counters["arena_compactions"] += 1
+        count("arena_compactions")
 
     # ------------------------------------------------------------------ #
     # readers: order, cones
@@ -587,7 +587,7 @@ class NetArena:
                 self.fps[self.gid_of[slot]] = self._gate_fp(
                     slot, pi_index, po_index
                 )
-                self.counters["fingerprint_rehashes"] += 1
+                count("fingerprint_rehashes")
             self._fp_all_dirty = False
             return
         if not self._fp_dirty:
@@ -613,7 +613,7 @@ class NetArena:
             old = fps.get(gid)
             new = self._gate_fp(slot, pi_index, po_index)
             fps[gid] = new
-            self.counters["fingerprint_rehashes"] += 1
+            count("fingerprint_rehashes")
             if new == old:
                 continue
             for c in self.fanout[slot]:

@@ -1,13 +1,7 @@
 """SAT substrate: CNF, CDCL solver, Tseitin encoding, equivalence."""
 
 from .cnf import CNF
-from .solver import (
-    Solver,
-    SolveCallTracker,
-    reset_solve_calls,
-    solve_calls,
-    solve_cnf,
-)
+from .solver import Solver, solve_cnf
 from .tseitin import CircuitEncoder, EncodedCircuit, encode_circuit
 from .equivalence import (
     EquivalenceResult,
@@ -20,12 +14,9 @@ __all__ = [
     "CircuitEncoder",
     "EncodedCircuit",
     "EquivalenceResult",
-    "SolveCallTracker",
     "Solver",
     "assert_equivalent",
     "check_equivalence",
     "encode_circuit",
-    "reset_solve_calls",
-    "solve_calls",
     "solve_cnf",
 ]

@@ -15,64 +15,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..counters import count
 from .cnf import CNF
 
 TRUE, FALSE, UNASSIGNED = 1, 0, -1
-
-#: Process-wide count of :meth:`Solver.solve` invocations.  Telemetry
-#: (``repro.engine.telemetry``) attributes SAT effort per stage through
-#: :class:`SolveCallTracker` deltas; each worker process counts its own.
-_SOLVE_CALLS = 0
-
-
-def solve_calls() -> int:
-    """Total ``Solver.solve`` invocations in this process so far."""
-    return _SOLVE_CALLS
-
-
-def reset_solve_calls() -> None:
-    """Zero the process-wide counter (test isolation only).
-
-    Consumers must never attribute work by differencing two raw
-    :func:`solve_calls` reads across a possible reset; they hold a
-    :class:`SolveCallTracker`, whose deltas stay correct (clamped at
-    zero) even when the counter is reset mid-flight.
-    """
-    global _SOLVE_CALLS
-    _SOLVE_CALLS = 0
-
-
-class SolveCallTracker:
-    """Snapshot/delta view of the solve-call counter.
-
-    The engine opens one tracker per stage attempt, so nested stages,
-    retries, and parallel workers (each process has its own counter)
-    all report *their own* call counts rather than a global read.  Also
-    usable as a context manager::
-
-        with SolveCallTracker() as tracker:
-            ...solve things...
-        stage_calls = tracker.calls
-    """
-
-    def __init__(self) -> None:
-        self._mark = solve_calls()
-
-    def reset(self) -> None:
-        """Restart the delta window at the current counter value."""
-        self._mark = solve_calls()
-
-    @property
-    def calls(self) -> int:
-        """Solve calls in this process since construction/reset."""
-        return max(0, solve_calls() - self._mark)
-
-    def __enter__(self) -> "SolveCallTracker":
-        self.reset()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
 
 
 class Solver:
@@ -84,7 +30,8 @@ class Solver:
     solvers -- one epoch solver answering hundreds of assumption-gated
     ATPG queries -- do not grow the clause DB unboundedly.  ``None``
     (the default) keeps the classic unbounded behaviour.  Reductions are
-    tallied in ``stats["learned_kept"]`` / ``stats["learned_dropped"]``.
+    counted as ``learned_kept`` / ``learned_dropped``
+    (:mod:`repro.counters`).
     """
 
     def __init__(
@@ -109,13 +56,6 @@ class Solver:
         self._preferred: List[int] = []
         self._ok = True
         self.learned_cap = learned_cap
-        self.stats = {
-            "decisions": 0,
-            "conflicts": 0,
-            "propagations": 0,
-            "learned_kept": 0,
-            "learned_dropped": 0,
-        }
         if cnf is not None:
             self.add_cnf(cnf)
 
@@ -210,7 +150,6 @@ class Solver:
         while self._qhead < len(self._trail):
             lit = self._trail[self._qhead]
             self._qhead += 1
-            self.stats["propagations"] += 1
             watchers = self._watches.get(lit)
             if not watchers:
                 continue
@@ -348,8 +287,8 @@ class Solver:
         self._learned = [c for c in self._learned if id(c) not in drop]
         for lit, watchers in self._watches.items():
             self._watches[lit] = [c for c in watchers if id(c) not in drop]
-        self.stats["learned_dropped"] += len(drop)
-        self.stats["learned_kept"] += len(self._learned)
+        count("learned_dropped", len(drop))
+        count("learned_kept", len(self._learned))
 
     def _backtrack(self, level: int) -> None:
         if len(self._trail_lim) <= level:
@@ -410,8 +349,7 @@ class Solver:
         if ``conflict_limit`` was exhausted.  After True, :meth:`model`
         gives a satisfying assignment.
         """
-        global _SOLVE_CALLS
-        _SOLVE_CALLS += 1
+        count("sat_calls")
         if not self._ok:
             return False
         self._backtrack(0)
@@ -425,7 +363,6 @@ class Solver:
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                self.stats["conflicts"] += 1
                 conflicts_seen += 1
                 if conflict_limit is not None and conflicts_seen > conflict_limit:
                     self._backtrack(0)
@@ -470,7 +407,6 @@ class Solver:
             lit = self._decide()
             if lit == 0:
                 return True  # all variables assigned
-            self.stats["decisions"] += 1
             self._trail_lim.append(len(self._trail))
             self._enqueue(lit, None)
 

@@ -23,10 +23,8 @@ from .kernel import (
     ArenaCompiledCircuit,
     CompiledAig,
     CompiledCircuit,
-    SimWorkTracker,
     get_compiled,
     refresh_compiled,
-    sim_work_counters,
 )
 from .dcalc import D, DBAR, ONE, XX, ZERO, eval_gate5, is_d_or_dbar, simulate5
 from .events import (
@@ -43,13 +41,11 @@ __all__ = [
     "D",
     "DBAR",
     "ONE",
-    "SimWorkTracker",
     "XX",
     "X",
     "ZERO",
     "get_compiled",
     "refresh_compiled",
-    "sim_work_counters",
     "eval_gate3",
     "eval_gate5",
     "eval_gate_bits",

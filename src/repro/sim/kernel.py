@@ -27,11 +27,9 @@ into a flat levelized schedule and makes both costs go away:
   evaluated -- which is where the >=5x gate-evaluation saving of
   ``BENCH_sim.json`` comes from.
 
-All work is tracked in deterministic counters (``gate_evals_good``,
-``gate_evals_faulty``, ``cone_cutoffs``, ``faults_dropped``) -- exact
-functions of circuit + pattern block, no wall-clock jitter -- kept both
-per kernel and process-globally so :class:`SimWorkTracker` can attribute
-them per engine stage exactly like the SAT solve-call counter.
+All work is counted in :mod:`repro.counters` under the names of
+:data:`WORK_COUNTERS` -- exact functions of circuit + pattern block, no
+wall-clock jitter.
 
 Every simulation consumer runs this kernel.  The interpreted
 ``simulate_packed`` / ``simulate_fault_packed`` pair stays as the test
@@ -44,6 +42,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from ..counters import count
 from ..network import Circuit
 from .opcodes import (
     OP_AND,
@@ -60,7 +59,8 @@ from .opcodes import (
     eval_op_word,
 )
 
-#: The kernel's deterministic work counters, in canonical order.
+#: The kernel's work counters (:mod:`repro.counters`), in the order
+#: ``repro atpg`` prints them and the ``sim`` perf gate reads them.
 WORK_COUNTERS = (
     "gate_evals_good",
     "gate_evals_faulty",
@@ -68,64 +68,6 @@ WORK_COUNTERS = (
     "faults_dropped",
     "compile_rebuilds",
 )
-
-
-# ---------------------------------------------------------------------- #
-# work counters
-# ---------------------------------------------------------------------- #
-
-class _SimWork:
-    """Mutable counter block shared by a kernel and the process global."""
-
-    __slots__ = WORK_COUNTERS
-
-    def __init__(self) -> None:
-        for name in WORK_COUNTERS:
-            setattr(self, name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in WORK_COUNTERS}
-
-
-#: process-global counters (per worker process, like sat solve_calls)
-_GLOBAL_WORK = _SimWork()
-
-
-def sim_work_counters() -> Dict[str, int]:
-    """Snapshot of the process-global kernel work counters."""
-    return _GLOBAL_WORK.as_dict()
-
-
-class SimWorkTracker:
-    """Snapshot/delta view of the global sim work counters.
-
-    The engine opens one per stage attempt so telemetry records report
-    the stage's own gate evaluations -- the same pattern as
-    :class:`repro.sat.SolveCallTracker`.  Usable as a context manager.
-    """
-
-    def __init__(self) -> None:
-        self._mark = sim_work_counters()
-
-    def reset(self) -> None:
-        """Restart the delta window at the current counter values."""
-        self._mark = sim_work_counters()
-
-    @property
-    def counters(self) -> Dict[str, int]:
-        """Counter deltas in this process since construction/reset."""
-        now = sim_work_counters()
-        return {
-            name: max(0, now[name] - self._mark[name])
-            for name in WORK_COUNTERS
-        }
-
-    def __enter__(self) -> "SimWorkTracker":
-        self.reset()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
 
 
 # ---------------------------------------------------------------------- #
@@ -150,7 +92,6 @@ class CompiledCircuit:
 
     def __init__(self, circuit: Circuit) -> None:
         self.circuit = circuit
-        self.work = _SimWork()
         self._compile()
 
     # ------------------------------ build ----------------------------- #
@@ -158,8 +99,7 @@ class CompiledCircuit:
     def _compile(self) -> None:
         circuit = self.circuit
         self.version = circuit.version
-        self.work.compile_rebuilds += 1
-        _GLOBAL_WORK.compile_rebuilds += 1
+        count("compile_rebuilds")
         order = circuit.topological_order()
         self.order: List[int] = order
         pos = {gid: i for i, gid in enumerate(order)}
@@ -223,10 +163,6 @@ class CompiledCircuit:
         self._ensure_fresh()
         return self._num_eval_gates
 
-    def counters(self) -> Dict[str, int]:
-        """This kernel's deterministic work-counter snapshot."""
-        return self.work.as_dict()
-
     def words_from_values(self, values: Mapping[int, int]) -> List[int]:
         """Positional word list from a gid-keyed value map (the shape
         ``simulate_packed`` returns), for interop with legacy callers."""
@@ -263,8 +199,7 @@ class CompiledCircuit:
         if overrides:
             over = {self.pos[g]: v & mask for g, v in overrides.items()}
         values, evals = self._evaluate(packed_inputs, mask, over)
-        self.work.gate_evals_good += evals
-        _GLOBAL_WORK.gate_evals_good += evals
+        count("gate_evals_good", evals)
         return values
 
     def _evaluate(
@@ -335,20 +270,17 @@ class CompiledCircuit:
         self._ensure_fresh()
         mask = (1 << width) - 1
         stuck = mask if fault.value else 0
-        work = self.work
         if fault.kind == "conn":
             seed, pin = self.conn_pin[fault.site]
             ins = [good_words[s] for s in self.fanin_pos[seed]]
             ins[pin] = stuck
             word = self._eval_one(seed, ins, mask)
-            work.gate_evals_faulty += 1
-            _GLOBAL_WORK.gate_evals_faulty += 1
+            count("gate_evals_faulty")
         else:
             seed = self.pos[fault.site]
             word = stuck
         if word == good_words[seed]:
-            work.cone_cutoffs += 1
-            _GLOBAL_WORK.cone_cutoffs += 1
+            count("cone_cutoffs")
             return {}
         diffs: Dict[int, int] = {seed: word}
         heap = list(self.fanout_pos[seed])
@@ -372,10 +304,8 @@ class CompiledCircuit:
                 if q not in queued:
                     queued.add(q)
                     heapq.heappush(heap, q)
-        work.gate_evals_faulty += evals
-        work.cone_cutoffs += cutoffs
-        _GLOBAL_WORK.gate_evals_faulty += evals
-        _GLOBAL_WORK.cone_cutoffs += cutoffs
+        count("gate_evals_faulty", evals)
+        count("cone_cutoffs", cutoffs)
         return diffs
 
     def detecting_word(
@@ -411,12 +341,10 @@ class CompiledCircuit:
             for i, gid in enumerate(self.order)
         }
 
-    def note_dropped(self, count: int) -> None:
-        """Record ``count`` faults dropped from an active list after
+    def note_dropped(self, dropped: int) -> None:
+        """Record ``dropped`` faults dropped from an active list after
         detection (the fault simulator's drop-on-detect accounting)."""
-        if count > 0:
-            self.work.faults_dropped += count
-            _GLOBAL_WORK.faults_dropped += count
+        count("faults_dropped", dropped)
 
     def __repr__(self) -> str:
         return (
@@ -458,7 +386,6 @@ class ArenaCompiledCircuit:
     def __init__(self, circuit: Circuit, arena) -> None:
         self.circuit = circuit
         self.arena = arena
-        self.work = _SimWork()
         #: object-graph version at last staleness check -- the legacy
         #: kernel's recompile trigger, reused for avoided accounting.
         self.version = circuit.version
@@ -471,7 +398,7 @@ class ArenaCompiledCircuit:
         return False
 
     def _note_avoided(self) -> None:
-        self.arena.counters["compile_rebuilds_avoided"] += 1
+        count("compile_rebuilds_avoided")
         self.version = self.circuit.version
 
     def _ensure_fresh(self) -> None:
@@ -504,10 +431,6 @@ class ArenaCompiledCircuit:
     def num_eval_gates(self) -> int:
         """Gates one full-circuit evaluation costs (non-PI gates)."""
         return self.arena.n_eval_gates
-
-    def counters(self) -> Dict[str, int]:
-        """This view's deterministic work-counter snapshot."""
-        return self.work.as_dict()
 
     def words_from_values(self, values: Mapping[int, int]) -> List[int]:
         """Slot-positional word list from a gid-keyed value map."""
@@ -546,8 +469,7 @@ class ArenaCompiledCircuit:
             slot_of = self.arena.slot_of
             over = {slot_of[g]: v & mask for g, v in overrides.items()}
         values, evals = self._evaluate(packed_inputs, mask, over)
-        self.work.gate_evals_good += evals
-        _GLOBAL_WORK.gate_evals_good += evals
+        count("gate_evals_good", evals)
         return values
 
     def _evaluate(
@@ -619,7 +541,6 @@ class ArenaCompiledCircuit:
         arena = self.arena
         mask = (1 << width) - 1
         stuck = mask if fault.value else 0
-        work = self.work
         if fault.kind == "conn":
             c = arena.cslot_of[fault.site]
             seed = arena.cdst[c]
@@ -627,14 +548,12 @@ class ArenaCompiledCircuit:
             ins = [good_words[arena.csrc[cc]] for cc in arena.fanin[seed]]
             ins[pin] = stuck
             word = self._eval_one(seed, ins, mask)
-            work.gate_evals_faulty += 1
-            _GLOBAL_WORK.gate_evals_faulty += 1
+            count("gate_evals_faulty")
         else:
             seed = arena.slot_of[fault.site]
             word = stuck
         if word == good_words[seed]:
-            work.cone_cutoffs += 1
-            _GLOBAL_WORK.cone_cutoffs += 1
+            count("cone_cutoffs")
             return {}
         diffs: Dict[int, int] = {seed: word}
         rank = arena.rank
@@ -669,10 +588,8 @@ class ArenaCompiledCircuit:
                 if q not in queued:
                     queued.add(q)
                     heapq.heappush(heap, (rank[q], q))
-        work.gate_evals_faulty += evals
-        work.cone_cutoffs += cutoffs
-        _GLOBAL_WORK.gate_evals_faulty += evals
-        _GLOBAL_WORK.cone_cutoffs += cutoffs
+        count("gate_evals_faulty", evals)
+        count("cone_cutoffs", cutoffs)
         return diffs
 
     def detecting_word(
@@ -706,11 +623,9 @@ class ArenaCompiledCircuit:
             for slot in arena.live_slots()
         }
 
-    def note_dropped(self, count: int) -> None:
+    def note_dropped(self, dropped: int) -> None:
         """Record faults dropped from an active list after detection."""
-        if count > 0:
-            self.work.faults_dropped += count
-            _GLOBAL_WORK.faults_dropped += count
+        count("faults_dropped", dropped)
 
     def __repr__(self) -> str:
         return (
@@ -725,8 +640,7 @@ def get_compiled(circuit: Circuit):
 
     The kernel is attached to the circuit object itself (copies start
     clean; ``Circuit.copy`` does not carry it over), so every consumer
-    of the same mutating circuit shares one schedule and one counter
-    block.
+    of the same mutating circuit shares one schedule.
 
     A circuit with an attached :class:`repro.net.arena.NetArena` gets
     the zero-copy :class:`ArenaCompiledCircuit` view instead of a
@@ -824,8 +738,5 @@ class CompiledAig:
             v0 = values[self.fanin_node0[i]] ^ neg_words[self.fanin_neg0[i]]
             v1 = values[self.fanin_node1[i]] ^ neg_words[self.fanin_neg1[i]]
             values[node] = v0 & v1
-        self.work_add(len(self.ands))
+        count("gate_evals_good", len(self.ands))
         return values
-
-    def work_add(self, evals: int) -> None:
-        _GLOBAL_WORK.gate_evals_good += evals

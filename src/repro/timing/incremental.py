@@ -10,8 +10,7 @@ what the loop needs:
 * **dirty-cone STA** -- an :class:`~repro.timing.sta.IncrementalSTA`
   consuming the touched-gate sets returned by the transforms in
   :mod:`repro.network.transform`, re-relaxing arrival times and
-  longest-path counts only in the transitive fanout/fanin of mutated
-  gates;
+  ``dist_to_po`` only in the transitive fanout/fanin of mutated gates;
 * **one question per loop test** -- the loop condition "all longest
   paths are not statically sensitizable/viable" is one existential
   question, asked once over the *critical subgraph* (the connections
@@ -26,7 +25,8 @@ what the loop needs:
      plus one selection variable per critical connection (see
      :meth:`IncrementalTiming.check_path`).
 
-Counter semantics (all deterministic; exported via
+Counter semantics (all deterministic; counted in
+:mod:`repro.counters`, so they reach
 :class:`repro.core.kms.KmsResult` counters and engine telemetry):
 
 * ``arrival_relaxations`` / ``dist_relaxations`` -- per-gate STA
@@ -47,6 +47,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
+from ..counters import count
 from ..network import Circuit, GateType
 from ..sat import CircuitEncoder, Solver
 from .models import AsBuiltDelayModel, DelayModel
@@ -85,8 +86,6 @@ class IncrementalTiming:
         self.mode = mode
         self.seed = seed
         self.sta = IncrementalSTA(circuit, self.model)
-        self.viability_checks_exact = 0
-        self.viability_checks_prefiltered = 0
         self._iteration = 0
         self._sim: Optional[Dict[int, int]] = None
         self._annotation: Optional[TimingAnnotation] = None
@@ -157,9 +156,9 @@ class IncrementalTiming:
         for cid in edges:
             into.setdefault(circuit.conns[cid].dst, []).append(cid)
         if self._reach(edges, into):
-            self.viability_checks_prefiltered += 1
+            count("viability_checks_prefiltered")
             return True
-        self.viability_checks_exact += 1
+        count("viability_checks_exact")
         encoder = CircuitEncoder()
         var = encoder.encode(circuit)
         cnf = encoder.cnf
@@ -228,16 +227,3 @@ class IncrementalTiming:
                 return True
             reach[gid] = word
         return False
-
-    # ------------------------------------------------------------------ #
-    # counters
-    # ------------------------------------------------------------------ #
-
-    def counters(self) -> Dict[str, float]:
-        """The deterministic counter snapshot telemetry exports."""
-        return {
-            "arrival_relaxations": self.sta.arrival_relaxations,
-            "dist_relaxations": self.sta.dist_relaxations,
-            "viability_checks_exact": self.viability_checks_exact,
-            "viability_checks_prefiltered": self.viability_checks_prefiltered,
-        }

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
+from ..counters import count
 from ..network import Circuit, GateType
 from .models import EPS, NEVER, AsBuiltDelayModel, DelayModel
 
@@ -78,16 +79,13 @@ def _gate_dist(
     model: DelayModel,
     gid: int,
     dist: Dict[int, float],
-    npaths: Optional[Dict[int, int]] = None,
-) -> Tuple[float, int]:
+) -> float:
     """One backward relaxation: longest delay from the gate's output to
-    any PO, plus (when ``npaths`` is given) the number of maximal paths
-    achieving it."""
+    any PO."""
     gate = circuit.gates[gid]
     if gate.gtype is GateType.OUTPUT:
-        return 0.0, 1
+        return 0.0
     best = NEVER
-    count = 0
     for cid in gate.fanout:
         conn = circuit.conns[cid]
         down = dist[conn.dst]
@@ -100,12 +98,7 @@ def _gate_dist(
         )
         if t > best:
             best = t
-            count = npaths[conn.dst] if npaths is not None else 0
-        elif t == best and npaths is not None:
-            count += npaths[conn.dst]
-    if best == NEVER:
-        count = 0
-    return best, count
+    return best
 
 
 def analyze(
@@ -120,7 +113,7 @@ def analyze(
 
     dist: Dict[int, float] = {}
     for gid in reversed(order):
-        dist[gid], _ = _gate_dist(circuit, model, gid, dist)
+        dist[gid] = _gate_dist(circuit, model, gid, dist)
 
     delay = 0.0
     for gid in circuit.outputs:
@@ -143,14 +136,13 @@ def analyze(
 class IncrementalSTA:
     """Dirty-cone incremental STA over a mutating circuit.
 
-    Holds arrival times, ``dist_to_po``, and longest-path counts for one
-    circuit + model pair, and re-relaxes only the affected region after a
-    mutation: the transitive *fanout* of the touched gates for arrival
-    times and the transitive *fanin* for ``dist_to_po``/path counts, with
-    early cutoff as soon as a recomputed value is unchanged.  Touched
-    sets are the ones returned by the transforms in
-    :mod:`repro.network.transform` (see the module docstring there for
-    the exact contract).
+    Holds arrival times and ``dist_to_po`` for one circuit + model pair,
+    and re-relaxes only the affected region after a mutation: the
+    transitive *fanout* of the touched gates for arrival times and the
+    transitive *fanin* for ``dist_to_po``, with early cutoff as soon as
+    a recomputed value is unchanged.  Touched sets are the ones returned
+    by the transforms in :mod:`repro.network.transform` (see the module
+    docstring there for the exact contract).
 
     Per-gate relaxations go through the same :func:`_gate_arrival` /
     :func:`_gate_dist` helpers as :func:`analyze`, so the incremental
@@ -158,7 +150,7 @@ class IncrementalSTA:
     (``tests/timing/test_incremental_property.py``) and the KMS A/B
     oracle both rely on that.
 
-    Counters (deterministic, exported through engine telemetry):
+    Counters (:mod:`repro.counters`):
 
     * ``arrival_relaxations`` -- forward per-gate recomputations;
       :func:`analyze` costs ``len(circuit.gates)`` of these, so the
@@ -168,13 +160,13 @@ class IncrementalSTA:
     The backward pass stops propagating to a gate's fanin sources as
     soon as the gate's *parent-visible* state is unchanged.  A parent's
     relaxation reads, per fanout connection, exactly the connection
-    delay, the child's gate delay, and the child's ``dist``/``npaths``
-    -- so that tuple (plus the fanin connection ids, which change iff an
-    edge was added or removed) is the memo key.  Seeding the backward
-    heap with the touched gates alone is then sound: a touched gate
-    whose key is unchanged cannot move any parent's value, and
-    structural fanout changes always mark the parent itself touched
-    (see the :mod:`repro.network.transform` contract).
+    delay, the child's gate delay, and the child's ``dist`` -- so that
+    tuple (plus the fanin connection ids, which change iff an edge was
+    added or removed) is the memo key.  Seeding the backward heap with
+    the touched gates alone is then sound: a touched gate whose key is
+    unchanged cannot move any parent's value, and structural fanout
+    changes always mark the parent itself touched (see the
+    :mod:`repro.network.transform` contract).
     """
 
     def __init__(
@@ -184,19 +176,16 @@ class IncrementalSTA:
         self.model = model if model is not None else AsBuiltDelayModel()
         self.arrival: Dict[int, float] = {}
         self.dist_to_po: Dict[int, float] = {}
-        self.npaths_to_po: Dict[int, int] = {}
         #: gid -> parent-visible key (see class docstring); backward
         #: propagation to fanin sources happens only when it changes.
         self._bwd_memo: Dict[int, tuple] = {}
-        self.arrival_relaxations = 0
-        self.dist_relaxations = 0
         self.delay = 0.0
         self._rebuild()
 
-    def _parent_key(self, gid: int, dist: float, npaths: int) -> tuple:
+    def _parent_key(self, gid: int, dist: float) -> tuple:
         """Everything a fanin source's own relaxation can read off this
         gate: its delay, its fanin edges (ids + delays), and the
-        maintained backward values."""
+        maintained backward value."""
         circuit, model = self.circuit, self.model
         gate = circuit.gates[gid]
         return (
@@ -205,7 +194,6 @@ class IncrementalSTA:
                 (cid, model.conn_delay(circuit, cid)) for cid in gate.fanin
             ),
             dist,
-            npaths,
         )
 
     def _rebuild(self) -> None:
@@ -215,21 +203,17 @@ class IncrementalSTA:
         order = circuit.topological_order()
         self.arrival.clear()
         self.dist_to_po.clear()
-        self.npaths_to_po.clear()
         self._bwd_memo.clear()
         for gid in order:
             self.arrival[gid] = _gate_arrival(
                 circuit, model, gid, self.arrival
             )
-            self.arrival_relaxations += 1
         for gid in reversed(order):
-            d, n = _gate_dist(
-                circuit, model, gid, self.dist_to_po, self.npaths_to_po
-            )
+            d = _gate_dist(circuit, model, gid, self.dist_to_po)
             self.dist_to_po[gid] = d
-            self.npaths_to_po[gid] = n
-            self._bwd_memo[gid] = self._parent_key(gid, d, n)
-            self.dist_relaxations += 1
+            self._bwd_memo[gid] = self._parent_key(gid, d)
+        count("arrival_relaxations", len(order))
+        count("dist_relaxations", len(order))
         self._refresh_delay()
 
     def _refresh_delay(self) -> None:
@@ -249,12 +233,7 @@ class IncrementalSTA:
         """
         circuit = self.circuit
         dirty: Set[int] = {g for g in touched if g in circuit.gates}
-        for store in (
-            self.arrival,
-            self.dist_to_po,
-            self.npaths_to_po,
-            self._bwd_memo,
-        ):
+        for store in (self.arrival, self.dist_to_po, self._bwd_memo):
             stale = [gid for gid in store if gid not in circuit.gates]
             for gid in stale:
                 del store[gid]
@@ -275,12 +254,13 @@ class IncrementalSTA:
         heap = [(pos[gid], gid) for gid in dirty]
         heapq.heapify(heap)
         queued = set(dirty)
+        relaxed = 0
         while heap:
             _, gid = heapq.heappop(heap)
             queued.discard(gid)
             old = self.arrival.get(gid)
             new = _gate_arrival(circuit, model, gid, self.arrival)
-            self.arrival_relaxations += 1
+            relaxed += 1
             self.arrival[gid] = new
             if old is not None and new == old:
                 continue
@@ -289,21 +269,21 @@ class IncrementalSTA:
                 if dst not in queued:
                     queued.add(dst)
                     heapq.heappush(heap, (pos[dst], dst))
+        count("arrival_relaxations", relaxed)
 
     def _relax_backward(self, dirty: Set[int], pos: Dict[int, int]) -> None:
         circuit, model = self.circuit, self.model
         heap = [(-pos[gid], gid) for gid in dirty]
         heapq.heapify(heap)
         queued = set(dirty)
+        relaxed = 0
         while heap:
             _, gid = heapq.heappop(heap)
             queued.discard(gid)
-            new = _gate_dist(
-                circuit, model, gid, self.dist_to_po, self.npaths_to_po
-            )
-            self.dist_relaxations += 1
-            self.dist_to_po[gid], self.npaths_to_po[gid] = new
-            key = self._parent_key(gid, *new)
+            new = _gate_dist(circuit, model, gid, self.dist_to_po)
+            relaxed += 1
+            self.dist_to_po[gid] = new
+            key = self._parent_key(gid, new)
             if self._bwd_memo.get(gid) == key:
                 continue
             self._bwd_memo[gid] = key
@@ -312,20 +292,7 @@ class IncrementalSTA:
                 if src not in queued:
                     queued.add(src)
                     heapq.heappush(heap, (-pos[src], src))
-
-    def num_longest_paths(self) -> int:
-        """Number of topologically-longest IO-paths, from the maintained
-        path counts -- no enumeration."""
-        if self.delay <= 0.0:
-            return 0
-        total = 0
-        for pi in self.circuit.inputs:
-            d = self.dist_to_po.get(pi, NEVER)
-            if d == NEVER:
-                continue
-            if self.model.input_arrival(self.circuit, pi) + d == self.delay:
-                total += self.npaths_to_po.get(pi, 0)
-        return total
+        count("dist_relaxations", relaxed)
 
     def annotation(self, compute_slack: bool = False) -> TimingAnnotation:
         """A :class:`TimingAnnotation` view of the current state.

@@ -8,7 +8,7 @@ from repro.aig import (
     lit_neg,
 )
 from repro.circuits import carry_skip_adder, random_redundant_circuit
-from repro.sat import SolveCallTracker
+from repro.counters import Window
 
 
 def _xor_two_ways():
@@ -53,12 +53,12 @@ def test_sweep_solver_refutes_with_pattern():
 def test_solve_any_distinct_over_equal_pairs_is_one_call():
     aig, direct, other = _xor_two_ways()
     sweeper = SweepSolver(aig)
-    tracker = SolveCallTracker()
+    window = Window()
     distinct, pattern = sweeper.solve_any_distinct(
         [(direct, other), (direct, direct)]
     )
     assert distinct is False and pattern is None
-    assert tracker.calls == 1
+    assert window.delta()["sat_calls"] == 1
 
 
 def test_fraig_merges_equivalent_cones():

@@ -14,6 +14,7 @@ from repro.atpg import (
 )
 from repro.circuits import carry_skip_adder, mcnc_circuit
 from repro.core.kms import kms
+from repro.counters import Window
 from repro.network import Builder
 from repro.synth.optimize import area_optimize
 from repro.timing import UnitDelayModel
@@ -47,31 +48,33 @@ class TestAdaptivePool:
             circuit, [fault], random_vectors(circuit, 64, 7)
         ).undetected_faults
         assert missed == [fault]
+        window = Window()
         engine = ProofEngine(circuit)
         assert engine.redundant_faults([fault]) == []
         # the first grown word detects the only survivor, so growth
         # ends without a stop word and SAT is never asked
-        assert engine.counters["random_words"] == 1
-        assert engine.counters["sat_proofs"] == 0
+        assert window.delta()["random_words"] == 1
+        assert window.delta()["sat_proofs"] == 0
         # the word continues the seeded stream of the initial pool
         assert engine._vectors == random_vectors(circuit, 128, 7)
 
     def test_random_resistant_fault_settles_by_sat_witness(self):
         circuit, root = _and_tree(16)
         fault = stem_fault(root, 0)
+        window = Window()
         engine = ProofEngine(circuit)
         assert engine.redundant_faults([fault]) == []
         # one word detects nothing, which stops growth; SAT finds the
         # test, and its witness (all ones) joins the pool
-        assert engine.counters["random_words"] == 1
-        assert engine.counters["sat_proofs"] == 1
+        assert window.delta()["random_words"] == 1
+        assert window.delta()["sat_proofs"] == 1
         assert engine._vectors[-1] == {gid: 1 for gid in circuit.inputs}
         # with the verdict evicted, the pool alone re-detects the fault
         engine.invalidate(circuit.gates)
         assert engine.redundant_faults([fault]) == []
-        assert engine.counters["faults_requalified"] == 2
-        assert engine.counters["random_words"] == 1
-        assert engine.counters["sat_proofs"] == 1
+        assert window.delta()["faults_requalified"] == 2
+        assert window.delta()["random_words"] == 1
+        assert window.delta()["sat_proofs"] == 1
 
 
 def _cleanup_input():
@@ -127,7 +130,7 @@ def test_every_proof_counter_moves():
         counters = remove_redundancies(circuit).counters
         for name in PROOF_COUNTERS:
             totals[name] += counters[name]
-        assert "podem_calls" not in counters
+        assert counters["podem_calls"] == 0
         oracle = remove_redundancies(circuit, incremental=False).counters
         assert oracle["podem_calls"] > 0
     idle = {name for name, value in totals.items() if not value}

@@ -16,6 +16,7 @@ from repro.atpg import collapsed_faults
 from repro.circuits import random_circuit
 from repro.circuits.adders import carry_skip_adder
 from repro.core import kms
+from repro.counters import Window
 from repro.net import (
     LEGACY_ENV,
     attach_arena,
@@ -99,6 +100,7 @@ def test_compaction_fires_and_preserves_state(monkeypatch):
         num_inputs=4, num_gates=40, num_outputs=2, seed=11
     )
     arena = attach_arena(c)
+    window = Window()
     fp_before_each_step = []
     removable = [
         gid
@@ -115,7 +117,7 @@ def test_compaction_fires_and_preserves_state(monkeypatch):
         if c.gates[gid].fanout:
             continue
         c.remove_gate(gid)
-        compactions = arena.counters["arena_compactions"]
+        compactions = window.delta()["arena_compactions"]
         arena.check()
         fp_before_each_step.append(arena.fingerprint())
     # force the rest dead via sweep until the threshold trips
@@ -123,7 +125,7 @@ def test_compaction_fires_and_preserves_state(monkeypatch):
 
     sweep(c)
     arena.check()
-    assert arena.counters["arena_compactions"] >= compactions
+    assert window.delta()["arena_compactions"] >= compactions
     # after an explicit compact the arrays are dense and rank = identity
     arena.compact()
     assert not arena.free_slots
@@ -251,19 +253,23 @@ def test_stale_kernel_replaced_when_arena_attaches():
 
 def test_arena_view_counts_avoided_rebuilds():
     c = _chain_circuit()
-    arena = attach_arena(c)
+    attach_arena(c)
     kern = get_compiled(c)
-    base = arena.counters["compile_rebuilds_avoided"]
+    window = Window()
+
+    def avoided():
+        return window.delta()["compile_rebuilds_avoided"]
+
     packed = {gid: 1 for gid in c.inputs}
     kern.evaluate(packed, 4)  # fresh: nothing avoided
-    assert arena.counters["compile_rebuilds_avoided"] == base
+    assert avoided() == 0
     c.add_simple(GateType.NOT, [c.inputs[0]], 1.0)
     kern.evaluate(packed, 4)  # stale circuit: one rebuild avoided
-    assert arena.counters["compile_rebuilds_avoided"] == base + 1
+    assert avoided() == 1
     assert kern.refresh({c.inputs[0]}) is True  # touched contract
-    assert arena.counters["compile_rebuilds_avoided"] == base + 2
+    assert avoided() == 2
     assert kern.refresh(set()) is False
-    assert arena.counters["compile_rebuilds_avoided"] == base + 2
+    assert avoided() == 2
 
 
 # ---------------------------------------------------------------------- #

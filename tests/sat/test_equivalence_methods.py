@@ -9,7 +9,8 @@ from repro.circuits import (
     random_redundant_circuit,
 )
 from repro.core import kms
-from repro.sat import SolveCallTracker, check_equivalence
+from repro.counters import Window
+from repro.sat import check_equivalence
 from repro.timing import UnitDelayModel
 
 
@@ -21,17 +22,17 @@ def _kms_pair():
 
 def test_fraig_decides_kms_pair_with_zero_sat_calls():
     a, b = _kms_pair()
-    tracker = SolveCallTracker()
+    window = Window()
     result = check_equivalence(a, b, method="fraig")
     assert result.equivalent
-    assert tracker.calls == 0
+    assert window.delta()["sat_calls"] == 0
 
 
 def test_cnf_baseline_costs_one_call():
     a, b = _kms_pair()
-    tracker = SolveCallTracker()
+    window = Window()
     assert check_equivalence(a, b, method="cnf").equivalent
-    assert tracker.calls == 1
+    assert window.delta()["sat_calls"] == 1
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -45,12 +46,12 @@ def test_methods_agree_on_random_pairs(seed):
         else random_circuit(seed=seed + 1000, num_gates=18)
     )
     try:
-        tracker = SolveCallTracker()
+        window = Window()
         fraig_result = check_equivalence(a, b, method="fraig")
-        fraig_calls = tracker.calls
-        tracker.reset()
+        fraig_calls = window.delta()["sat_calls"]
+        window = Window()
         cnf_result = check_equivalence(a, b, method="cnf")
-        cnf_calls = tracker.calls
+        cnf_calls = window.delta()["sat_calls"]
     except ValueError:
         return  # interface mismatch raises identically on both paths
     assert fraig_result.equivalent == cnf_result.equivalent
@@ -82,9 +83,9 @@ def test_fraig_on_self_is_structural():
     """Same circuit twice: every miter cone hashes together, no engine
     beyond structural identity runs."""
     circuit = fig2_irredundant_block()
-    tracker = SolveCallTracker()
+    window = Window()
     assert check_equivalence(circuit, circuit).equivalent
-    assert tracker.calls == 0
+    assert window.delta()["sat_calls"] == 0
 
 
 def test_unknown_method_rejected():

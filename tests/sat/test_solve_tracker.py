@@ -1,12 +1,14 @@
-"""Snapshot/delta SAT-call accounting (reset-safe per engine stage)."""
+"""Solve calls through the work-counter registry: windows report
+deltas, nested windows agree, and only declared names count."""
 
-from repro.sat import (
-    CNF,
-    SolveCallTracker,
-    Solver,
-    reset_solve_calls,
-    solve_calls,
-)
+import pytest
+
+from repro.atpg import PROOF_COUNTERS
+from repro.atpg.redundancy import ORACLE_COUNTERS
+from repro.counters import GLOSSARY, Window, count
+from repro.net import ARENA_COUNTERS
+from repro.sat import CNF, Solver
+from repro.sim.kernel import WORK_COUNTERS
 
 
 def _one_solve():
@@ -17,45 +19,46 @@ def _one_solve():
 
 
 def test_tracker_counts_deltas_not_globals():
-    _one_solve()  # pre-existing global count must not leak in
-    tracker = SolveCallTracker()
-    assert tracker.calls == 0
+    _one_solve()  # work before the window opened must not leak in
+    window = Window()
+    assert window.delta()["sat_calls"] == 0
     _one_solve()
     _one_solve()
-    assert tracker.calls == 2
+    assert window.delta()["sat_calls"] == 2
 
 
-def test_tracker_reset_restarts_the_window():
-    tracker = SolveCallTracker()
+def test_nested_windows_agree():
+    outer = Window()
     _one_solve()
-    assert tracker.calls == 1
-    tracker.reset()
-    assert tracker.calls == 0
+    inner = Window()
     _one_solve()
-    assert tracker.calls == 1
-
-
-def test_tracker_survives_global_reset():
-    """A mid-window reset_solve_calls() (another stage's cleanup, a
-    test's isolation fixture) must not produce negative counts."""
+    assert inner.delta()["sat_calls"] == 1
     _one_solve()
-    tracker = SolveCallTracker()
-    reset_solve_calls()
-    assert tracker.calls == 0  # clamped, not negative
-    _one_solve()
-    tracker.reset()
-    _one_solve()
-    assert tracker.calls == 1
-
-
-def test_tracker_as_context_manager():
-    _one_solve()
-    with SolveCallTracker() as tracker:
-        _one_solve()
-    assert tracker.calls == 1
+    assert inner.delta()["sat_calls"] == 2
+    # the outer window sees the inner one's work plus its own
+    outer_delta = outer.delta()
+    inner_delta = inner.delta()
+    assert outer_delta["sat_calls"] == inner_delta["sat_calls"] + 1
+    assert all(outer_delta[k] >= inner_delta[k] for k in GLOSSARY)
 
 
 def test_global_counter_still_monotonic():
-    before = solve_calls()
+    window = Window()
     _one_solve()
-    assert solve_calls() == before + 1
+    delta = window.delta()
+    assert delta["sat_calls"] == 1
+    assert list(delta) == list(GLOSSARY)
+    assert all(value >= 0 for value in delta.values())
+
+
+def test_count_rejects_an_undeclared_name():
+    window = Window()
+    with pytest.raises(KeyError, match="undeclared work counter"):
+        count("sat_call")  # a typo of sat_calls
+    assert not any(window.delta().values())
+
+
+def test_every_name_group_is_declared():
+    for group in (WORK_COUNTERS, PROOF_COUNTERS, ORACLE_COUNTERS,
+                  ARENA_COUNTERS):
+        assert set(group) <= set(GLOSSARY), group

@@ -9,11 +9,11 @@ from repro.atpg import (
     stem_fault,
 )
 from repro.circuits import carry_skip_adder, random_circuit
+from repro.counters import Window
 from repro.network import GateType
 from repro.sim import (
     CompiledAig,
     CompiledCircuit,
-    SimWorkTracker,
     get_compiled,
     refresh_compiled,
     simulate_packed,
@@ -139,12 +139,13 @@ def test_refresh_touched_contract(and_or_circuit):
 def test_good_eval_counter_is_gate_count(and_or_circuit):
     c = and_or_circuit
     kern = CompiledCircuit(c)
+    window = Window()
     kern.evaluate({pi: 0 for pi in c.inputs}, 8)
     # every non-INPUT gate costs exactly one eval per call
     non_pi = sum(
         1 for g in c.gates.values() if g.gtype is not GateType.INPUT
     )
-    assert kern.counters()["gate_evals_good"] == non_pi
+    assert window.delta()["gate_evals_good"] == non_pi
     assert kern.num_eval_gates() == non_pi
 
 
@@ -155,9 +156,10 @@ def test_cone_cutoff_on_undetectable_difference(and_or_circuit):
     # with a=b=0 the AND output is 0: stuck-at-0 on its stem produces
     # no difference word, so the cone is cut at the injection site
     good = kern.evaluate_words({pi: 0 for pi in c.inputs}, 1)
+    window = Window()
     assert kern.fault_diffs(stem_fault(g1, 0), good, 1) == {}
-    assert kern.counters()["cone_cutoffs"] == 1
-    assert kern.counters()["gate_evals_faulty"] == 0
+    assert window.delta()["cone_cutoffs"] == 1
+    assert window.delta()["gate_evals_faulty"] == 0
 
 
 def test_fault_work_is_bounded_by_cone(and_or_circuit):
@@ -166,41 +168,41 @@ def test_fault_work_is_bounded_by_cone(and_or_circuit):
     good = kern.evaluate_words({pi: 1 for pi in c.inputs}, 1)
     n_evals = kern.num_eval_gates()
     for fault in collapsed_faults(c):
-        kern.work.gate_evals_faulty = 0
+        window = Window()
         kern.fault_diffs(fault, good, 1)
-        assert kern.counters()["gate_evals_faulty"] <= n_evals
+        assert window.delta()["gate_evals_faulty"] <= n_evals
 
 
 def test_tracker_snapshots_deltas(and_or_circuit):
     c = and_or_circuit
     kern = get_compiled(c)
-    tracker = SimWorkTracker()
+    window = Window()
     kern.evaluate({pi: 0 for pi in c.inputs}, 4)
-    delta = tracker.counters
+    delta = window.delta()
     assert delta["gate_evals_good"] == kern.num_eval_gates()
-    tracker.reset()
-    assert tracker.counters["gate_evals_good"] == 0
+    assert Window().delta()["gate_evals_good"] == 0
 
 
 def test_note_dropped_accumulates(and_or_circuit):
     kern = CompiledCircuit(and_or_circuit)
+    window = Window()
     kern.note_dropped(3)
     kern.note_dropped(0)
-    assert kern.counters()["faults_dropped"] == 3
+    assert window.delta()["faults_dropped"] == 3
 
 
 def test_every_work_counter_moves_on_grade_mutate_grade():
     """No dead counters: grading a circuit, mutating it and grading it
     again charges every name in WORK_COUNTERS."""
     c = carry_skip_adder(nbits=2, block_size=2)
-    tracker = SimWorkTracker()
+    window = Window()
     fault_coverage(c, collapsed_faults(c), random_vectors(c, 64, seed=1))
     inv = c.add_gate(GateType.NOT, 1.0, name="inv")
     c.connect(c.inputs[0], inv)
     c.add_output("inv_o", inv)
     fault_coverage(c, collapsed_faults(c), random_vectors(c, 64, seed=2))
-    counters = tracker.counters
-    assert tuple(counters) == kernel_mod.WORK_COUNTERS
+    delta = window.delta()
+    counters = {name: delta[name] for name in kernel_mod.WORK_COUNTERS}
     assert all(counters.values()), counters
     # one compile for the first grade, one recompile after the mutation
     assert counters["compile_rebuilds"] == 2

@@ -10,6 +10,7 @@ solve over the critical subgraph.
 import pytest
 
 from repro.circuits import carry_skip_adder, ripple_carry_adder
+from repro.counters import Window
 from repro.network.transform import set_connection_constant
 from repro.timing import (
     IncrementalSTA,
@@ -30,15 +31,16 @@ MODEL = UnitDelayModel(use_arrival_times=False)
 
 def test_incremental_sta_relaxes_only_the_dirty_cone():
     circuit = ripple_carry_adder(8)
+    window = Window()
     sta = IncrementalSTA(circuit, MODEL)
-    rebuild_cost = sta.arrival_relaxations
-    assert rebuild_cost == len(circuit.gates)
+    assert window.delta()["arrival_relaxations"] == len(circuit.gates)
 
     cid = next(iter(circuit.gates[circuit.inputs[-1]].fanout))
     _, touched = set_connection_constant(circuit, cid, 0)
+    window = Window()
     sta.refresh(touched)
 
-    delta = sta.arrival_relaxations - rebuild_cost
+    delta = window.delta()["arrival_relaxations"]
     assert 0 < delta < len(circuit.gates)
     ann = analyze(circuit, MODEL)
     assert sta.arrival == ann.arrival
@@ -63,8 +65,8 @@ def test_incremental_sta_annotation_is_a_snapshot():
 # ---------------------------------------------------------------------- #
 
 def _loop_test(nbits, block, mode):
-    """A fresh timing context's first loop test, plus the per-path
-    reference verdict over every longest path."""
+    """A fresh timing context's first loop test, the work window around
+    it, and the per-path reference verdict over every longest path."""
     circuit = carry_skip_adder(nbits, block)
     timing = IncrementalTiming(circuit, MODEL, mode=mode)
     timing.begin_iteration()
@@ -78,16 +80,17 @@ def _loop_test(nbits, block, mode):
         checker.is_viable if mode == "viability" else checker.is_sensitizable
     )
     expected = any(exact(path) for path in longest_paths(circuit, MODEL))
-    return timing, timing.check_path(), expected
+    window = Window()
+    return window, timing.check_path(), expected
 
 
 def test_check_path_agrees_with_sensitization_checker():
     """On csa 2.2 one of the 64 packed patterns sensitizes a longest
     path, so the reach pass answers and no SAT solve runs."""
-    timing, verdict, expected = _loop_test(2, 2, "static")
+    window, verdict, expected = _loop_test(2, 2, "static")
     assert verdict is True and expected is True
-    assert timing.viability_checks_prefiltered == 1
-    assert timing.viability_checks_exact == 0
+    assert window.delta()["viability_checks_prefiltered"] == 1
+    assert window.delta()["viability_checks_exact"] == 0
 
 
 def test_check_path_agrees_with_viability_checker():
@@ -100,10 +103,10 @@ def test_check_path_agrees_with_viability_checker():
 def test_check_path_sat_solve_answers_when_reach_pass_misses(
     nbits, block, expected, mode
 ):
-    timing, verdict, reference = _loop_test(nbits, block, mode)
+    window, verdict, reference = _loop_test(nbits, block, mode)
     assert verdict is expected and reference is expected
-    assert timing.viability_checks_prefiltered == 0
-    assert timing.viability_checks_exact == 1
+    assert window.delta()["viability_checks_prefiltered"] == 0
+    assert window.delta()["viability_checks_exact"] == 1
 
 
 # ---------------------------------------------------------------------- #
@@ -121,13 +124,12 @@ def test_backward_seed_skips_parents_when_parent_visible_state_unchanged():
         for g, gate in circuit.gates.items()
         if len(gate.fanin) >= 2 and gate.fanout
     )
-    base_fwd = sta.arrival_relaxations
-    base_bwd = sta.dist_relaxations
+    window = Window()
     sta.refresh({gid})
     # forward: the gate plus the early-cutoff visit of its fanouts;
     # backward: exactly the seed, no parent fan-out.
-    assert sta.arrival_relaxations - base_fwd >= 1
-    assert sta.dist_relaxations - base_bwd == 1
+    assert window.delta()["arrival_relaxations"] >= 1
+    assert window.delta()["dist_relaxations"] == 1
     ann = analyze(circuit, MODEL)
     assert sta.arrival == ann.arrival
     assert sta.dist_to_po == ann.dist_to_po
