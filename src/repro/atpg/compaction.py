@@ -2,23 +2,20 @@
 
 A production flow doesn't stop at "each fault has a test": it wants the
 smallest vector set achieving full coverage of the testable faults.
-`generate_test_set` runs the standard pipeline -- random phase with
-fault-simulation grading, deterministic phase (PODEM, SAT fallback) --
-and `compact` shrinks the result by reverse-order fault simulation and
-greedy set covering.
+`generate_test_set` is one proof-engine classification: its vector pool
+detects every fault the engine calls testable, and every other fault
+has a SAT proof of untestability.  `compact` then shrinks the pool by
+greedy set covering over the fault-simulation detection matrix.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..network import Circuit
 from .faults import Fault, collapsed_faults
-from .faultsim import fault_coverage
-from .podem import Podem, Status
-from .satatpg import SatAtpg
+from .proofengine import ProofEngine
 
 Vector = Dict[int, int]
 
@@ -30,12 +27,6 @@ class TestSet:
     vectors: List[Vector]
     #: faults proven untestable (the redundancies).
     redundant: List[Fault] = field(default_factory=list)
-    #: faults neither tested nor proven redundant (should be empty).
-    aborted: List[Fault] = field(default_factory=list)
-
-    @property
-    def complete(self) -> bool:
-        return not self.aborted
 
 
 def generate_test_set(
@@ -43,52 +34,19 @@ def generate_test_set(
     faults: Optional[Sequence[Fault]] = None,
     random_patterns: int = 64,
     seed: int = 1,
-    backtrack_limit: int = 5000,
 ) -> TestSet:
-    """A test set detecting every testable fault in the list.
+    """A test set detecting every testable fault in the list (default:
+    collapsed).
 
-    Random phase first (cheap coverage), then PODEM per leftover fault,
-    then SAT for PODEM aborts -- so the ``redundant`` list is exact.
+    One :class:`~repro.atpg.proofengine.ProofEngine` classification:
+    the pool starts with ``random_patterns`` vectors drawn one bit per
+    PI per vector from ``random.Random(seed)``, grows while random words
+    keep detecting faults, and takes every SAT witness.  ``redundant``
+    is exact, because every untestable verdict is a SAT proof.
     """
-    worklist = (
-        list(faults) if faults is not None else collapsed_faults(circuit)
-    )
-    rng = random.Random(seed)
-    vectors: List[Vector] = [
-        {gid: rng.getrandbits(1) for gid in circuit.inputs}
-        for _ in range(random_patterns)
-    ]
-    report = fault_coverage(circuit, worklist, vectors)
-    result = TestSet(vectors=vectors)
-    podem = Podem(circuit, backtrack_limit=backtrack_limit)
-    sat: Optional[SatAtpg] = None
-    remaining = list(report.undetected_faults)
-    while remaining:
-        fault = remaining.pop(0)
-        outcome = podem.generate(fault)
-        if outcome.status is Status.UNTESTABLE:
-            result.redundant.append(fault)
-            continue
-        test: Optional[Vector] = None
-        if outcome.status is Status.TESTABLE:
-            test = {
-                gid: outcome.test.get(gid, 0) for gid in circuit.inputs
-            }
-        else:
-            if sat is None:
-                sat = SatAtpg(circuit)
-            answer = sat.generate(fault)
-            if not answer.testable:
-                result.redundant.append(fault)
-                continue
-            test = answer.test
-        result.vectors.append(test)
-        # drop everything this fresh vector also detects
-        if remaining:
-            remaining = fault_coverage(
-                circuit, remaining, [test]
-            ).undetected_faults
-    return result
+    engine = ProofEngine(circuit, patterns=random_patterns, seed=seed)
+    redundant = engine.redundant_faults(faults)
+    return TestSet(vectors=engine.vectors, redundant=redundant)
 
 
 def compact(

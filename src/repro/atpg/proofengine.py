@@ -4,7 +4,7 @@ The KMS epilogue ("remaining redundancies are then removable in any
 order") and every irredundancy check funnel through the same question --
 *which collapsed faults are untestable right now?* -- asked over and
 over on a circuit that changes only a little between questions.  The
-from-scratch funnel in :mod:`repro.atpg.satatpg` restarts completely
+from-scratch funnel in :mod:`repro.atpg.redundancy` restarts completely
 each time: re-enumerate the fault universe, re-roll the same random
 vectors, re-run PODEM on every suspect, rebuild a full Tseitin CNF per
 SAT proof.  This engine keeps all of that state alive across removals
@@ -26,8 +26,7 @@ cone-limited redundancy removal:
   each surviving fault adds only its faulty fanout cone, every clause
   gated by a fresh activation literal, and is decided by
   ``solve(assumptions=(act,))``.  Retired queries are disabled with a
-  root-level ``(-act)`` unit, and the solver's size-capped
-  learned-clause deletion keeps the database bounded.
+  root-level ``(-act)`` unit.
 
 * **Verdict carry-over.**  A fault's testability is a function of the
   fanin closure of its fanout cone (the gates that can excite it plus
@@ -42,11 +41,12 @@ cone-limited redundancy removal:
   drop other unresolved faults in the same epoch, and appended to the
   pool, so later epochs start from every test found so far.
 
-* **Optional proof sharding.**  Full-universe classification can shard
-  the survivors' SAT proofs across a ``ProcessPoolExecutor``
-  (``jobs``), shipping circuits as primitive dicts the way
-  :mod:`repro.engine.runner` does and merging verdicts in deterministic
-  submission order.
+Every fault the engine calls testable was detected by a pool vector, by
+a grown word that then joined the pool, or by its own SAT witness, which
+joins the pool too.  So after a classification the pool
+(:attr:`ProofEngine.vectors`) is a complete test set for the classified
+faults: :func:`repro.atpg.compaction.generate_test_set` is one
+classification.
 
 The removal loop picks the *first untestable fault in collapsed order*.
 That rule is a function of the circuit alone -- simulation only ever
@@ -86,8 +86,7 @@ UNTESTABLE = "untestable"
 WORD = 64
 
 #: The engine's work counters (glossary in :mod:`repro.counters`), in
-#: the order ``repro atpg`` prints them.  ``learned_kept`` and
-#: ``learned_dropped`` are counted by the epoch solver's reductions.
+#: the order ``repro atpg`` prints them.
 PROOF_COUNTERS = (
     "faults_requalified",
     "verdicts_carried",
@@ -96,14 +95,7 @@ PROOF_COUNTERS = (
     "sat_proofs",
     "tseitin_builds",
     "random_words",
-    "learned_kept",
-    "learned_dropped",
 )
-
-#: Learned-clause cap for epoch solvers; one solver may serve hundreds
-#: of assumption-gated queries, so the DB is bounded (satellite of the
-#: same PR -- see ``Solver.learned_cap``).
-EPOCH_LEARNED_CAP = 5000
 
 
 class _ActivationCnf:
@@ -144,22 +136,22 @@ class ProofEngine:
             pool then grows one 64-vector word at a time while words
             keep detecting survivors.
         seed: seed of the random-vector stream (the oracle's ``7``).
-        jobs: when > 1, :meth:`redundant_faults` shards the survivors'
-            SAT proofs across that many worker processes.
+
+    Attributes:
+        vectors: the pool, in draw order: the first ``patterns`` random
+            vectors, then every grown word that detected a survivor and
+            every SAT witness.  It detects every fault the engine has
+            called testable, so after :meth:`redundant_faults` it is a
+            test set for every classified fault that is not redundant.
     """
 
     def __init__(
-        self,
-        circuit: Circuit,
-        patterns: int = 64,
-        seed: int = 7,
-        jobs: Optional[int] = None,
+        self, circuit: Circuit, patterns: int = 64, seed: int = 7
     ) -> None:
         self.circuit = circuit
-        self.jobs = jobs
         self._verdicts: Dict[Fault, str] = {}
         self._rng = random.Random(seed)
-        self._vectors = draw_vectors(circuit, self._rng, patterns)
+        self.vectors = draw_vectors(circuit, self._rng, patterns)
         # hoisted packing of the vector pool, rebuilt when the pool
         # grows or the circuit's PI set changes (see PackedCorpus)
         self._corpus: Optional[PackedCorpus] = None
@@ -222,7 +214,7 @@ class ProofEngine:
         pending = [f for f in universe if f not in self._verdicts]
         count("verdicts_carried", len(universe) - len(pending))
         count("faults_requalified", len(pending))
-        if pending and self._vectors:
+        if pending and self.vectors:
             pending = self._grade(pending, self._vector_corpus())
         while pending:
             word = draw_vectors(self.circuit, self._rng, WORD)
@@ -230,7 +222,7 @@ class ProofEngine:
             survivors = self._grade(pending, word)
             if len(survivors) == len(pending):
                 break
-            self._vectors.extend(word)
+            self.vectors.extend(word)
             pending = survivors
         return universe
 
@@ -255,10 +247,10 @@ class ProofEngine:
         corpus = self._corpus
         if (
             corpus is None
-            or len(corpus) != len(self._vectors)
+            or len(corpus) != len(self.vectors)
             or not corpus.fresh_for(self.circuit, corpus.block)
         ):
-            corpus = PackedCorpus(self.circuit, self._vectors)
+            corpus = PackedCorpus(self.circuit, self.vectors)
             self._corpus = corpus
         return corpus
 
@@ -269,7 +261,7 @@ class ProofEngine:
         fault against it through the compiled kernel's event-driven
         fault simulation."""
         vector = complete_vector(self.circuit, cube)
-        self._vectors.append(vector)
+        self.vectors.append(vector)
         targets = [f for f in universe if f not in self._verdicts]
         if targets:
             drops = len(targets) - len(self._grade(targets, [vector]))
@@ -291,7 +283,7 @@ class ProofEngine:
         encoder = CircuitEncoder()
         self._good_var = encoder.encode(self.circuit)
         count("tseitin_builds")
-        solver = Solver(encoder.cnf, learned_cap=EPOCH_LEARNED_CAP)
+        solver = Solver(encoder.cnf)
         self._true_lit = solver.new_var()
         solver.add_clause((self._true_lit,))
         self._solver = solver
@@ -344,59 +336,18 @@ class ProofEngine:
         self, faults: Optional[Sequence[Fault]] = None
     ) -> List[Fault]:
         """All untestable faults from ``faults`` (default: the collapsed
-        universe), classifying every fault -- the full-verdict
-        counterpart of :func:`repro.atpg.satatpg.redundant_faults`."""
+        universe), sorted.  Every fault gets a verdict, so afterwards
+        :attr:`vectors` detects each of ``faults`` that is not in the
+        returned list."""
         universe = self._prepare_epoch(faults)
-        survivors = [f for f in universe if f not in self._verdicts]
-        if survivors and self.jobs and self.jobs > 1:
-            self._sat_qualify_sharded(survivors)
-        else:
-            for fault in survivors:
-                if fault not in self._verdicts:
-                    self._sat_qualify(fault, universe)
+        for fault in universe:
+            if fault not in self._verdicts:
+                self._sat_qualify(fault, universe)
         redundant = [
             f for f in universe if self._verdicts[f] == UNTESTABLE
         ]
         redundant.sort(key=lambda f: (f.kind, f.site, f.value))
         return redundant
-
-    def is_irredundant(self) -> bool:
-        return not self.redundant_faults()
-
-    # ------------------------------------------------------------------ #
-    # parallel survivor sharding
-    # ------------------------------------------------------------------ #
-
-    def _sat_qualify_sharded(self, survivors: Sequence[Fault]) -> None:
-        """Shard the survivors' SAT proofs across a process pool.
-
-        Circuits travel as primitive dicts and verdicts merge in
-        deterministic submission order (the :mod:`repro.engine.runner`
-        fan-out pattern); each worker builds its own epoch solver, so
-        ``sat_proofs`` counts every fault exactly once.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        from ..engine.serialize import circuit_to_dict
-
-        payload = circuit_to_dict(self.circuit)
-        jobs = min(self.jobs or 1, len(survivors))
-        chunks = [list(survivors[i::jobs]) for i in range(jobs)]
-        specs = [
-            [(f.kind, f.site, f.value) for f in chunk] for chunk in chunks
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_prove_chunk_worker, payload, spec)
-                for spec in specs
-            ]
-            results = [future.result() for future in futures]
-        for chunk, verdicts in zip(chunks, results):
-            for fault, testable in zip(chunk, verdicts):
-                self._verdicts[fault] = (
-                    TESTABLE if testable else UNTESTABLE
-                )
-                count("sat_proofs")
 
 
 # ---------------------------------------------------------------------- #
@@ -466,32 +417,3 @@ def _prove_on_solver(
     solver.reset_to_root()
     solver.add_clause((-act,))
     return testable, model
-
-
-def _prove_chunk_worker(
-    circuit_dict: Dict, fault_specs: List[Tuple[str, int, int]]
-) -> List[bool]:
-    """Process-pool worker: decide a chunk of surviving faults.
-
-    Rebuilds the circuit from primitives, encodes the good circuit once,
-    and answers each fault on the shared worker-local solver -- the same
-    epoch-solver economics as the serial path.
-    """
-    from ..engine.serialize import circuit_from_dict
-
-    circuit = circuit_from_dict(circuit_dict)
-    encoder = CircuitEncoder()
-    good_var = encoder.encode(circuit)
-    solver = Solver(encoder.cnf, learned_cap=EPOCH_LEARNED_CAP)
-    true_lit = solver.new_var()
-    solver.add_clause((true_lit,))
-    verdicts: List[bool] = []
-    for kind, site, value in fault_specs:
-        solver.reset_to_root()
-        act = solver.new_var()
-        testable, _ = _prove_on_solver(
-            circuit, Fault(kind, site, value), solver, good_var,
-            true_lit, act,
-        )
-        verdicts.append(testable)
-    return verdicts

@@ -20,18 +20,20 @@ collapsed order at every step:
   It grows a random pool until a word stops detecting anything, sends
   every survivor to one assumption-gated SAT solver per epoch, carries
   verdicts across removals, and feeds every witness back into the pool.
-* ``incremental=False``: the from-scratch funnel below, kept as the A/B
-  oracle.  It settles the 64-vector survivors with PODEM and hands each
-  PODEM abort to SAT at once, in scan order.  Both take bit-identical
-  decisions; the property suite
-  (``tests/atpg/test_proofengine_property.py``) and the ``atpg``
-  perf-gate CI row enforce it.
+* ``incremental=False``: the from-scratch oracle
+  (:func:`scratch_redundant_faults`), kept as the A/B reference.  It
+  settles the 64-vector survivors with PODEM and hands each PODEM abort
+  to SAT at once, in scan order.  Both take bit-identical decisions;
+  the property suite (``tests/atpg/test_proofengine_property.py``) and
+  the ``atpg`` perf-gate CI row enforce it.
+
+:func:`redundant_faults` classifies a whole fault list with either one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from ..counters import Window, count
 from ..network import Circuit, GateType
@@ -105,53 +107,48 @@ def remove_fault(circuit: Circuit, fault: Fault) -> Set[int]:
     return touched
 
 
-def _undetected_by_random(
-    circuit: Circuit, faults: List[Fault], patterns: int = 64, seed: int = 7
-) -> List[Fault]:
-    """Cheap prefilter: faults a random test set already detects are
-    certainly testable, so only the survivors need SAT proofs.
+def scratch_redundant_faults(
+    circuit: Circuit,
+    faults: Optional[Sequence[Fault]] = None,
+    backtrack_limit: int = 100,
+    patterns: int = 64,
+) -> Iterator[Fault]:
+    """The from-scratch oracle: yield the untestable faults of
+    ``faults`` (default: the collapsed universe), in list order.
 
-    Runs on the compiled simulation kernel through ``fault_coverage``;
-    the kernel's version check recompiles the schedule automatically as
-    removal mutates the working circuit between calls.
+    ``patterns`` random vectors (seed 7) discharge every fault they
+    detect; PODEM then settles each suspect in list order, and each
+    PODEM abort goes to a fresh :class:`SatAtpg` query at once.  Nothing
+    is cached between calls, so every call re-qualifies every fault.
+    The circuit must not mutate while the generator is alive.
     """
     from .faultsim import fault_coverage, random_vectors
-
-    vectors = random_vectors(circuit, patterns, seed)
-    report = fault_coverage(circuit, faults, vectors)
-    return report.undetected_faults
-
-
-def _next_redundant_scratch(
-    work: Circuit, backtrack_limit: int, patterns: int
-) -> Optional[Fault]:
-    """One from-scratch oracle iteration: the first untestable suspect
-    in collapsed order.  PODEM settles each suspect; an abort goes to
-    SAT at once, in scan order."""
     from .podem import Podem, Status
 
-    universe = collapsed_faults(work)
-    # no verdict cache: the whole universe is qualified from scratch
+    universe = (
+        list(faults) if faults is not None else collapsed_faults(circuit)
+    )
     count("faults_requalified", len(universe))
-    suspects = _undetected_by_random(work, universe, patterns=patterns)
-    podem = Podem(work, backtrack_limit=backtrack_limit)
+    suspects = fault_coverage(
+        circuit, universe, random_vectors(circuit, patterns, seed=7)
+    ).undetected_faults
+    if not suspects:
+        return
+    podem = Podem(circuit, backtrack_limit=backtrack_limit)
     sat: Optional[SatAtpg] = None
-    fault: Optional[Fault] = None
-    for candidate in suspects:
-        status = podem.generate(candidate).status
+    for fault in suspects:
+        status = podem.generate(fault).status
         if status is Status.ABORTED:
             if sat is None:
-                sat = SatAtpg(work)
+                sat = SatAtpg(circuit)
                 count("tseitin_builds")
             count("sat_proofs")
             count("tseitin_builds")  # fresh faulty CNF per query
-            untestable = sat.is_redundant(candidate)
+            untestable = sat.is_redundant(fault)
         else:
             untestable = status is Status.UNTESTABLE
         if untestable:
-            fault = candidate
-            break
-    return fault
+            yield fault
 
 
 def remove_redundancies(
@@ -197,7 +194,12 @@ def remove_redundancies(
         if engine is not None:
             fault = engine.next_redundant()
         else:
-            fault = _next_redundant_scratch(work, backtrack_limit, patterns)
+            fault = next(
+                scratch_redundant_faults(
+                    work, backtrack_limit=backtrack_limit, patterns=patterns
+                ),
+                None,
+            )
         if fault is None:
             break
         before = work.num_gates()
@@ -219,9 +221,36 @@ def remove_redundancies(
     return RemovalResult(circuit=work, steps=steps, counters=window.delta())
 
 
+def redundant_faults(
+    circuit: Circuit,
+    faults: Optional[Sequence[Fault]] = None,
+    incremental: bool = True,
+) -> List[Fault]:
+    """All untestable faults from ``faults`` (default: collapsed),
+    sorted.
+
+    ``incremental`` (default) classifies them on one
+    :class:`repro.atpg.proofengine.ProofEngine`: simulate, then SAT.
+    ``False`` collects the from-scratch oracle
+    (:func:`scratch_redundant_faults`).  SAT is exact, so both return
+    the identical list.
+    """
+    if incremental:
+        from .proofengine import ProofEngine
+
+        return ProofEngine(circuit).redundant_faults(faults)
+    redundant = list(scratch_redundant_faults(circuit, faults))
+    redundant.sort(key=lambda f: (f.kind, f.site, f.value))
+    return redundant
+
+
+def count_redundancies(circuit: Circuit, incremental: bool = True) -> int:
+    """Number of untestable faults in the collapsed fault list -- the
+    paper's Table I "Red." column metric."""
+    return len(redundant_faults(circuit, incremental=incremental))
+
+
 def is_irredundant(circuit: Circuit, incremental: bool = True) -> bool:
     """True if every collapsed stuck-at fault is testable -- the paper's
     "fully testable for all single stuck faults"."""
-    from .satatpg import redundant_faults
-
     return not redundant_faults(circuit, incremental=incremental)

@@ -7,14 +7,15 @@ UNSAT is an airtight untestability proof.  The proof engine
 leaves unresolved with the same miter, built incrementally on one
 assumption-gated solver per circuit version.  :class:`SatAtpg` is the
 from-scratch form of that miter: the fallback for PODEM aborts in the
-oracle funnel and in test generation, and a cross-check in the test
-suite.
+from-scratch oracle (:mod:`repro.atpg.redundancy`), the independent
+reference behind :func:`repro.core.verify_transformation` and the fuzz
+minimizer, and a cross-check in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..network import Circuit
 from ..sat import CircuitEncoder, Solver
@@ -76,65 +77,3 @@ class SatAtpg:
 
     def is_redundant(self, fault: Fault) -> bool:
         return not self.generate(fault).testable
-
-
-def redundant_faults(
-    circuit: Circuit,
-    faults: Optional[List[Fault]] = None,
-    incremental: bool = True,
-    jobs: Optional[int] = None,
-) -> List[Fault]:
-    """All untestable faults from the given list (default: collapsed).
-
-    ``incremental`` (default) routes through the persistent
-    :class:`repro.atpg.proofengine.ProofEngine`: simulate, then SAT.
-    Random patterns (a pool grown until a 64-vector word detects
-    nothing new) discharge the testable majority, and every survivor
-    is decided on one shared assumption-gated solver, with witness
-    feedback between survivors and optional proof sharding across
-    ``jobs`` worker processes.
-
-    ``False`` keeps the from-scratch funnel below as the A/B oracle,
-    cheapest engine first:
-
-    1. random-pattern fault simulation -- anything detected is testable;
-    2. PODEM with a backtrack budget -- structural guidance finds tests
-       (or completes untestability proofs) quickly on sparse functions;
-    3. SAT-ATPG for the PODEM aborts -- a complete decision either way.
-
-    Both return the identical verdict list.
-    """
-    from .faults import collapsed_faults
-    from .podem import Podem, Status
-    from .redundancy import _undetected_by_random
-
-    if incremental:
-        from .proofengine import ProofEngine
-
-        return ProofEngine(circuit, jobs=jobs).redundant_faults(faults)
-    worklist = faults if faults is not None else collapsed_faults(circuit)
-    suspects = _undetected_by_random(circuit, list(worklist))
-    if not suspects:
-        return []
-    # small budget: PODEM settles the easy majority in microseconds and
-    # hands the stragglers to SAT, which is better at hard proofs
-    podem = Podem(circuit, backtrack_limit=100)
-    redundant: List[Fault] = []
-    hard: List[Fault] = []
-    for fault in suspects:
-        result = podem.generate(fault)
-        if result.status is Status.UNTESTABLE:
-            redundant.append(fault)
-        elif result.status is Status.ABORTED:
-            hard.append(fault)
-    if hard:
-        engine = SatAtpg(circuit)
-        redundant.extend(f for f in hard if engine.is_redundant(f))
-    redundant.sort(key=lambda f: (f.kind, f.site, f.value))
-    return redundant
-
-
-def count_redundancies(circuit: Circuit, incremental: bool = True) -> int:
-    """Number of untestable faults in the collapsed fault list -- the
-    paper's Table I "Red." column metric."""
-    return len(redundant_faults(circuit, incremental=incremental))

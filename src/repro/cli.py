@@ -30,11 +30,10 @@ import sys
 from typing import List, Optional
 
 from .atpg import (
-    Podem,
-    Status,
     collapsed_faults,
+    compact,
     fault_coverage,
-    random_vectors,
+    generate_test_set,
     redundant_faults,
 )
 from .core import kms, measure_delays, verify_transformation
@@ -134,9 +133,17 @@ def cmd_atpg(args) -> int:
     circuit = _load(args.input)
     faults = collapsed_faults(circuit)
     print(f"collapsed faults : {len(faults)}")
-    redundant = redundant_faults(
-        circuit, faults, incremental=not args.no_proofengine, jobs=args.jobs
-    )
+    tests = None
+    if args.tests and not args.no_proofengine:
+        # one classification yields both the redundancies and the tests
+        tests = generate_test_set(
+            circuit, faults, random_patterns=args.random, seed=args.seed
+        )
+        redundant = tests.redundant
+    else:
+        redundant = redundant_faults(
+            circuit, faults, incremental=not args.no_proofengine
+        )
     print(f"redundant faults : {len(redundant)}")
     for fault in redundant:
         print(f"  {fault.describe(circuit)}")
@@ -147,21 +154,15 @@ def cmd_atpg(args) -> int:
         print(f"proof work       : {proof}", file=sys.stderr)
     if not args.tests:
         return 0
-    vectors = random_vectors(circuit, args.random, seed=args.seed)
-    report = fault_coverage(circuit, faults, vectors)
-    podem = Podem(circuit)
-    generated = 0
-    for fault in report.undetected_faults:
-        result = podem.generate(fault)
-        if result.status is Status.TESTABLE:
-            vectors.append(
-                {g: result.test.get(g, 0) for g in circuit.inputs}
-            )
-            generated += 1
+    if tests is None:
+        tests = generate_test_set(
+            circuit, faults, random_patterns=args.random, seed=args.seed
+        )
+    vectors = compact(circuit, tests.vectors, faults)
     final = fault_coverage(circuit, faults, vectors)
     print(
         f"test set         : {len(vectors)} vectors "
-        f"({args.random} random + {generated} PODEM)"
+        f"(compacted from {len(tests.vectors)})"
     )
     print(f"fault coverage   : {final.coverage:.1%}")
     # deterministic kernel work counters, on stderr so scripted stdout
@@ -563,20 +564,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("atpg", help="fault/redundancy report")
     p.add_argument("input")
-    p.add_argument("--tests", action="store_true", help="build a test set")
-    p.add_argument("--random", type=int, default=64)
+    p.add_argument(
+        "--tests", action="store_true", help="build a compacted test set"
+    )
+    p.add_argument(
+        "--random", type=int, default=64,
+        help="initial random vectors of the test set's pool",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--no-proofengine",
         action="store_true",
         help="classify redundancies with the from-scratch funnel "
         "instead of the persistent proof engine (A/B oracle)",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="shard hard-fault SAT proofs across N worker processes",
     )
     p.set_defaults(func=cmd_atpg)
 

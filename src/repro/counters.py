@@ -30,11 +30,6 @@ from typing import Dict
 GLOSSARY: Dict[str, str] = {
     # repro.sat
     "sat_calls": "Solver.solve invocations",
-    "learned_kept": (
-        "learned clauses a size-capped solver kept through a reduction; "
-        "only the proof engine's epoch solvers set a cap"
-    ),
-    "learned_dropped": "learned clauses such a reduction dropped",
     # repro.sim.kernel
     "gate_evals_good": (
         "gate evaluations in good-circuit packed simulation: every "

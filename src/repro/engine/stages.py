@@ -216,9 +216,7 @@ def _stage_atpg(
     from ..atpg import redundant_faults
 
     red = len(redundant_faults(
-        circuit,
-        incremental=params.get("incremental", True),
-        jobs=params.get("jobs"),
+        circuit, incremental=params.get("incremental", True)
     ))
     return StageOutcome(
         circuit,

@@ -22,26 +22,11 @@ TRUE, FALSE, UNASSIGNED = 1, 0, -1
 
 
 class Solver:
-    """CDCL solver over integer literals (DIMACS convention).
+    """CDCL solver over integer literals (DIMACS convention)."""
 
-    ``learned_cap`` bounds the learned-clause database: when the number
-    of learned clauses exceeds the cap, an activity-ordered reduction
-    (at root level) drops the less useful half so long-lived incremental
-    solvers -- one epoch solver answering hundreds of assumption-gated
-    ATPG queries -- do not grow the clause DB unboundedly.  ``None``
-    (the default) keeps the classic unbounded behaviour.  Reductions are
-    counted as ``learned_kept`` / ``learned_dropped``
-    (:mod:`repro.counters`).
-    """
-
-    def __init__(
-        self,
-        cnf: Optional[CNF] = None,
-        learned_cap: Optional[int] = None,
-    ) -> None:
+    def __init__(self, cnf: Optional[CNF] = None) -> None:
         self._num_vars = 0
         self._clauses: List[List[int]] = []
-        self._learned: List[List[int]] = []
         self._watches: Dict[int, List[List[int]]] = {}
         self._assign: List[int] = [UNASSIGNED]
         self._level: List[int] = [0]
@@ -55,7 +40,6 @@ class Solver:
         self._phase: List[bool] = [False]
         self._preferred: List[int] = []
         self._ok = True
-        self.learned_cap = learned_cap
         if cnf is not None:
             self.add_cnf(cnf)
 
@@ -252,44 +236,6 @@ class Solver:
         learned[1], learned[max_i] = learned[max_i], learned[1]
         return learned, self._level[abs(learned[1])]
 
-    def _clause_score(self, clause: List[int]) -> float:
-        """Activity proxy for a learned clause: mean variable activity.
-
-        The solver learns clauses over the variables driving recent
-        conflicts, so high-activity variables mark clauses still pulling
-        their weight; VSIDS decay ages out stale ones automatically.
-        """
-        return sum(self._activity[abs(lit)] for lit in clause) / len(clause)
-
-    def _reduce_learned(self) -> None:
-        """Activity-ordered learned-clause deletion (root level only).
-
-        Keeps every short clause (length <= 2: cheap and powerful), the
-        highest-scoring half of the cap among the rest, and any clause
-        currently serving as a reason; drops the remainder and purges
-        them from the watch lists.
-        """
-        cap = self.learned_cap
-        if cap is None or len(self._learned) <= cap:
-            return
-        assert not self._trail_lim, "learned reduction only at root level"
-        reasons = {id(r) for r in self._reason if r is not None}
-        candidates = [
-            (i, c)
-            for i, c in enumerate(self._learned)
-            if len(c) > 2 and id(c) not in reasons
-        ]
-        # highest score first; ties broken toward younger clauses
-        candidates.sort(key=lambda p: (-self._clause_score(p[1]), -p[0]))
-        drop = {id(c) for _, c in candidates[max(1, cap // 2):]}
-        if not drop:
-            return
-        self._learned = [c for c in self._learned if id(c) not in drop]
-        for lit, watchers in self._watches.items():
-            self._watches[lit] = [c for c in watchers if id(c) not in drop]
-        count("learned_dropped", len(drop))
-        count("learned_kept", len(self._learned))
-
     def _backtrack(self, level: int) -> None:
         if len(self._trail_lim) <= level:
             return
@@ -357,7 +303,6 @@ class Solver:
         if conflict is not None:
             self._ok = False
             return False
-        self._reduce_learned()
         conflicts_seen = 0
         restart_limit = 100
         while True:
@@ -383,14 +328,12 @@ class Solver:
                         return False
                     # re-establish assumptions on next iterations
                 else:
-                    self._learned.append(learned)
                     self._watch(learned)
                     self._enqueue(learned[0], learned)
                 self._var_inc /= self._var_decay
                 if conflicts_seen >= restart_limit:
                     restart_limit = int(restart_limit * 1.5)
                     self._backtrack(0)
-                    self._reduce_learned()
                 continue
             # no conflict: extend assumptions, then decide
             if len(self._trail_lim) < len(assumptions):

@@ -8,6 +8,7 @@ from repro.atpg import (
     compact,
     fault_coverage,
     generate_test_set,
+    random_vectors,
 )
 from repro.circuits import carry_skip_adder, random_circuit
 
@@ -17,19 +18,27 @@ class TestGeneration:
         c = carry_skip_adder(2, 2)
         faults = collapsed_faults(c)
         result = generate_test_set(c, faults)
-        assert result.complete
         assert len(result.redundant) == 2  # the skip redundancies
         report = fault_coverage(c, faults, result.vectors)
         assert report.detected == len(faults) - len(result.redundant)
         # the undetected are exactly the redundancies
         assert set(report.undetected_faults) == set(result.redundant)
 
+    def test_pool_starts_with_the_random_phase(self):
+        c = carry_skip_adder(2, 2)
+        for random_patterns, seed in ((8, 1), (48, 3)):
+            result = generate_test_set(
+                c, random_patterns=random_patterns, seed=seed
+            )
+            assert result.vectors[:random_patterns] == random_vectors(
+                c, random_patterns, seed
+            )
+
     @given(seed=st.integers(0, 20))
     @settings(max_examples=8, deadline=None)
     def test_random_circuits(self, seed):
         c = random_circuit(num_inputs=4, num_gates=10, seed=seed)
         result = generate_test_set(c, random_patterns=8)
-        assert result.complete
         faults = collapsed_faults(c)
         report = fault_coverage(c, faults, result.vectors)
         assert (

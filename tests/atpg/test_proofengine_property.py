@@ -1,19 +1,27 @@
 """Property suite: the persistent proof engine is bit-identical to the
-from-scratch funnel.
+from-scratch funnel, and its pool is a complete test set.
 
 Over hundreds of random circuits (plain and guaranteed-redundant), both
 removal drivers must take the same removal steps in the same order and
-reach the same irredundancy verdicts; the ``jobs`` sharded classifier
-must match the serial one fault for fault.  The circuits are small on
-purpose -- the point is breadth of structure (gate mixes, fanout
-shapes, constant cones after removal), not depth.
+reach the same irredundancy verdicts, both classifiers must return the
+same redundant faults, and after a classification the engine's pool
+must detect every classified fault except the ones it calls redundant.
+The circuits are small on purpose -- the point is breadth of structure
+(gate mixes, fanout shapes, constant cones after removal), not depth.
 """
 
 import pytest
 
-from repro.atpg import ProofEngine, remove_redundancies
+from repro.atpg import (
+    ProofEngine,
+    collapsed_faults,
+    fault_coverage,
+    redundant_faults,
+    remove_redundancies,
+)
 from repro.atpg.redundancy import is_irredundant
 from repro.circuits import random_circuit, random_redundant_circuit
+from repro.counters import Window
 from repro.engine.hashing import circuit_fingerprint
 
 #: 150 plain + 80 guaranteed-redundant = 230 random circuits, batched
@@ -42,6 +50,8 @@ def _check_ab(circuit, backtrack_limit=100, patterns=64):
             == circuit_fingerprint(full.circuit)), circuit.name
     assert is_irredundant(inc.circuit, incremental=True), circuit.name
     assert is_irredundant(full.circuit, incremental=False), circuit.name
+    assert (redundant_faults(circuit, incremental=True)
+            == redundant_faults(circuit, incremental=False)), circuit.name
     return inc
 
 
@@ -87,13 +97,22 @@ def test_satfunnel_stress_bit_identical():
         _check_ab(circuit, backtrack_limit=0, patterns=1)
 
 
-def test_sharded_classification_matches_serial():
-    """``jobs=4`` shards hard-fault SAT proofs across processes; the
-    verdict list must match the serial engine exactly."""
-    for seed in (0, 1, 2):
-        circuit = random_redundant_circuit(
-            num_inputs=5, num_gates=15, seed=seed
-        )
-        serial = ProofEngine(circuit, patterns=1).redundant_faults()
-        sharded = ProofEngine(circuit, patterns=1, jobs=4).redundant_faults()
-        assert serial == sharded
+@pytest.mark.parametrize("patterns", [1, 64])
+def test_pool_detects_every_fault_not_called_redundant(patterns):
+    """The pool plus the SAT witnesses is a test set: exactly the
+    redundant faults stay undetected.  Twelve inputs leave some testable
+    faults that random words miss, so SAT witnesses must fill the gap."""
+    witnessed = 0
+    for seed in range(20):
+        for build in (random_circuit, random_redundant_circuit):
+            circuit = build(num_inputs=12, num_gates=40, seed=seed)
+            faults = collapsed_faults(circuit)
+            window = Window()
+            engine = ProofEngine(circuit, patterns=patterns)
+            redundant = engine.redundant_faults(faults)
+            witnessed += window.delta()["sat_proofs"] > len(redundant)
+            undetected = fault_coverage(
+                circuit, faults, engine.vectors
+            ).undetected_faults
+            assert set(undetected) == set(redundant), circuit.name
+    assert witnessed

@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -49,11 +51,30 @@ def test_timing_command(csa_blif, capsys):
     assert "sensitizable" in captured or "false" in captured
 
 
+def _report(text):
+    """``repro atpg`` stdout as {label: value}."""
+    return {
+        label.strip(): value.strip()
+        for label, _, value in (
+            line.partition(":") for line in text.splitlines()
+            if not line.startswith(" ")
+        )
+    }
+
+
 def test_atpg_command(csa_blif, capsys):
     assert main(["atpg", str(csa_blif), "--tests"]) == 0
-    captured = capsys.readouterr().out
-    assert "redundant faults : 2" in captured
-    assert "fault coverage" in captured
+    report = _report(capsys.readouterr().out)
+    assert report["redundant faults"] == "2"
+    # the tests detect every testable fault: coverage is the testable
+    # share of the collapsed list
+    faults = int(report["collapsed faults"])
+    assert report["fault coverage"] == f"{(faults - 2) / faults:.1%}"
+    match = re.fullmatch(
+        r"(\d+) vectors \(compacted from (\d+)\)", report["test set"]
+    )
+    assert match is not None
+    assert 0 < int(match.group(1)) <= int(match.group(2))
 
 
 def test_atpg_prints_every_sim_work_counter(csa_blif, capsys):
