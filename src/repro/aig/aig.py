@@ -333,14 +333,20 @@ class Aig:
         id.  Mirrors :func:`repro.sim.parallel.simulate_packed`.
         """
         mask = (1 << width) - 1
-        values = [0] * len(self._fanin0)
+        fanin0, fanin1 = self._fanin0, self._fanin1
+        values = [0] * len(fanin0)
         for node in self._inputs:
             values[node] = packed_inputs.get(node, 0) & mask
-        for node in self.and_nodes():
-            f0, f1 = self.fanins(node)
-            v0 = values[lit_node(f0)] ^ (mask if lit_phase(f0) else 0)
-            v1 = values[lit_node(f1)] ^ (mask if lit_phase(f1) else 0)
-            values[node] = v0 & v1
+        neg = (0, mask)
+        for node in range(1, len(fanin0)):
+            f0 = fanin0[node]
+            if f0 < 0:
+                continue  # a primary input
+            f1 = fanin1[node]
+            values[node] = (
+                (values[f0 >> 1] ^ neg[f0 & 1])
+                & (values[f1 >> 1] ^ neg[f1 & 1])
+            )
         return values
 
     def lit_value(self, values: Sequence[int], lit: int, mask: int) -> int:

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..sat.solver import Solver
-from ..sim.kernel import CompiledAig
 from .aig import Aig, lit_node, lit_phase
 
 
@@ -208,11 +207,7 @@ def fraig(
     rng = random.Random(seed)
     width = max(1, words) * 64
     patterns = aig.random_patterns(width, rng)
-    # the swept graph is read-only during the sweep: compile its flat
-    # simulation schedule once and route both the signature pass and
-    # every counterexample refinement through it
-    sim = CompiledAig(aig)
-    sigs = sim.simulate(patterns, width)
+    sigs = aig.simulate(patterns, width)
 
     new = Aig(aig.name)
     stats = FraigStats(ands_before=aig.num_ands())
@@ -226,11 +221,13 @@ def fraig(
     def refine(pattern: Dict[int, int]) -> None:
         """Append one counterexample pattern and re-partition."""
         nonlocal width
+        # only the inputs created so far: old ids are topological, so
+        # the refuted pair depends on none of the later ones
         old_pattern = {
-            old: pattern.get(new_input_of_old[old], 0)
-            for old in aig.inputs
+            old: pattern.get(node, 0)
+            for old, node in new_input_of_old.items()
         }
-        bits = sim.simulate(old_pattern, 1)
+        bits = aig.simulate(old_pattern, 1)
         for node in range(len(sigs)):
             sigs[node] = (sigs[node] << 1) | bits[node]
         width += 1

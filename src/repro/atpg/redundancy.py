@@ -21,13 +21,18 @@ collapsed order at every step:
   every survivor to one assumption-gated SAT solver per epoch, carries
   verdicts across removals, and feeds every witness back into the pool.
 * ``incremental=False``: the from-scratch oracle
-  (:func:`scratch_redundant_faults`), kept as the A/B reference.  It
+  (:func:`scratch_redundant_faults`), kept as the test reference.  It
   settles the 64-vector survivors with PODEM and hands each PODEM abort
   to SAT at once, in scan order.  Both take bit-identical decisions;
   the property suite (``tests/atpg/test_proofengine_property.py``) and
   the ``atpg`` perf-gate CI row enforce it.
 
 :func:`redundant_faults` classifies a whole fault list with either one.
+These two entry points (and :func:`repro.core.kms`, which forwards its
+switch here) are the only way to reach the oracle.  The CLI, the engine
+stages and the fuzz driver offer no switch; only the fuzz grader's
+oracle differential calls ``redundant_faults(incremental=False)``, as
+the adversary of the proof engine.
 """
 
 from __future__ import annotations
@@ -244,13 +249,13 @@ def redundant_faults(
     return redundant
 
 
-def count_redundancies(circuit: Circuit, incremental: bool = True) -> int:
+def count_redundancies(circuit: Circuit) -> int:
     """Number of untestable faults in the collapsed fault list -- the
     paper's Table I "Red." column metric."""
-    return len(redundant_faults(circuit, incremental=incremental))
+    return len(redundant_faults(circuit))
 
 
-def is_irredundant(circuit: Circuit, incremental: bool = True) -> bool:
+def is_irredundant(circuit: Circuit) -> bool:
     """True if every collapsed stuck-at fault is testable -- the paper's
     "fully testable for all single stuck faults"."""
-    return not redundant_faults(circuit, incremental=incremental)
+    return not redundant_faults(circuit)

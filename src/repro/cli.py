@@ -75,8 +75,7 @@ def cmd_kms(args) -> int:
     circuit = _load(args.input)
     model = _model(args)
     result = kms(
-        circuit, mode=args.mode, model=model, checked=args.checked,
-        incremental=not args.no_incremental,
+        circuit, mode=args.mode, model=model, checked=args.checked
     )
     report = verify_transformation(circuit, result.circuit, model)
     print(
@@ -133,31 +132,23 @@ def cmd_atpg(args) -> int:
     circuit = _load(args.input)
     faults = collapsed_faults(circuit)
     print(f"collapsed faults : {len(faults)}")
-    tests = None
-    if args.tests and not args.no_proofengine:
+    if args.tests:
         # one classification yields both the redundancies and the tests
         tests = generate_test_set(
             circuit, faults, random_patterns=args.random, seed=args.seed
         )
         redundant = tests.redundant
     else:
-        redundant = redundant_faults(
-            circuit, faults, incremental=not args.no_proofengine
-        )
+        redundant = redundant_faults(circuit, faults)
     print(f"redundant faults : {len(redundant)}")
     for fault in redundant:
         print(f"  {fault.describe(circuit)}")
-    if not args.no_proofengine:
-        # deterministic proof-work counters, on stderr like the kernel's
-        work = window.delta()
-        proof = ", ".join(f"{k}={work[k]}" for k in PROOF_COUNTERS)
-        print(f"proof work       : {proof}", file=sys.stderr)
+    # deterministic proof-work counters, on stderr like the kernel's
+    work = window.delta()
+    proof = ", ".join(f"{k}={work[k]}" for k in PROOF_COUNTERS)
+    print(f"proof work       : {proof}", file=sys.stderr)
     if not args.tests:
         return 0
-    if tests is None:
-        tests = generate_test_set(
-            circuit, faults, random_patterns=args.random, seed=args.seed
-        )
     vectors = compact(circuit, tests.vectors, faults)
     final = fault_coverage(circuit, faults, vectors)
     print(
@@ -392,7 +383,6 @@ def cmd_fuzz_grade(args) -> int:
         _fuzz_spec(args),
         oracle=not args.no_oracle,
         mode=args.mode,
-        incremental=not args.no_incremental,
     )
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -450,7 +440,6 @@ def cmd_fuzz_campaign(args) -> int:
         stage_timeout=args.timeout,
         oracle=not args.no_oracle,
         mode=args.mode,
-        incremental=not args.no_incremental,
         report_path=args.report,
         minimize_dir=args.minimize_dir,
     )
@@ -547,11 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checked", action="store_true")
     p.add_argument("--zero-arrivals", action="store_true")
     p.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable the incremental timing engine (full recompute "
-             "per iteration; the A/B oracle the tests compare against)",
-    )
-    p.add_argument(
         "--format", choices=["blif", "verilog"], default="blif"
     )
     p.set_defaults(func=cmd_kms)
@@ -572,12 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="initial random vectors of the test set's pool",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--no-proofengine",
-        action="store_true",
-        help="classify redundancies with the from-scratch funnel "
-        "instead of the persistent proof engine (A/B oracle)",
-    )
     p.set_defaults(func=cmd_atpg)
 
     p = sub.add_parser("table1", help="regenerate the paper's Table I")
@@ -719,10 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-oracle", action="store_true",
         help="skip the from-scratch oracle differential",
     )
-    fp.add_argument(
-        "--no-incremental", action="store_true",
-        help="grade with the from-scratch engines throughout",
-    )
     fp.set_defaults(func=cmd_fuzz_grade)
 
     fp = fuzz_sub.add_parser(
@@ -758,7 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--mode", choices=["static", "viability"],
                     default="static")
     fp.add_argument("--no-oracle", action="store_true")
-    fp.add_argument("--no-incremental", action="store_true")
     fp.add_argument("--report", metavar="PATH",
                     help="write the JSON campaign report here")
     fp.add_argument(

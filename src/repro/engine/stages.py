@@ -215,9 +215,7 @@ def _stage_atpg(
 ) -> StageOutcome:
     from ..atpg import redundant_faults
 
-    red = len(redundant_faults(
-        circuit, incremental=params.get("incremental", True)
-    ))
+    red = len(redundant_faults(circuit))
     return StageOutcome(
         circuit,
         {"redundancies": red},
@@ -245,7 +243,6 @@ def _stage_kms(
         circuit,
         mode=params.get("mode", "static"),
         model=model,
-        incremental=bool(params.get("incremental", True)),
     )
     return StageOutcome(
         result.circuit,
@@ -369,7 +366,6 @@ def _stage_fuzz_grade(
         oracle=bool(params.get("oracle", True)),
         check_irredundant=bool(params.get("check_irredundant", True)),
         mode=params.get("mode", "static"),
-        incremental=bool(params.get("incremental", True)),
         expect=circuit_fingerprint(circuit),
     )
     counters = {

@@ -43,10 +43,9 @@ counters, so a hit record carries no work.
 from __future__ import annotations
 
 import json
-import queue
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 SCHEMA = "repro.engine.telemetry/1"
 
@@ -102,64 +101,14 @@ class StageRecord:
         )
 
 
-class TelemetryStream:
-    """Blocking iterator over records as they are appended.
-
-    Produced by :meth:`Telemetry.stream`.  Backed by a thread-safe
-    queue, so a consumer thread (e.g. the serve daemon forwarding
-    NDJSON progress) can drain records while the run is still
-    executing on another thread.  Iteration ends after :meth:`close`
-    once the queue drains; ``get`` returns ``None`` on timeout.
-    """
-
-    _DONE = object()
-
-    def __init__(self, telemetry: "Telemetry") -> None:
-        self._telemetry = telemetry
-        self._queue: "queue.Queue[Any]" = queue.Queue()
-        self._closed = False
-
-    def _push(self, record: StageRecord) -> None:
-        if not self._closed:
-            self._queue.put(record)
-
-    def get(self, timeout: Optional[float] = None) -> Optional[StageRecord]:
-        """Next record, or ``None`` on timeout / end of stream."""
-        try:
-            item = self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return None
-        if item is TelemetryStream._DONE:
-            return None
-        return item
-
-    def close(self) -> None:
-        """Unsubscribe and unblock any pending iteration."""
-        if not self._closed:
-            self._closed = True
-            self._telemetry.unsubscribe(self._push)
-            self._queue.put(TelemetryStream._DONE)
-
-    def __iter__(self) -> Iterator[StageRecord]:
-        while True:
-            item = self._queue.get()
-            if item is TelemetryStream._DONE:
-                return
-            yield item
-
-
 class Telemetry:
     """Append-only collection of stage records for one engine run.
 
     Live consumers can observe records as they land -- without waiting
-    for end-of-run collection -- through two equivalent APIs:
-
-    * :meth:`subscribe` registers a callback invoked (synchronously, on
-      the appending thread) with every record added from then on;
-    * :meth:`stream` returns a :class:`TelemetryStream`, a thread-safe
-      blocking iterator fed by an internal subscription.
-
-    Neither changes the stored records or the ``to_dict`` JSON schema.
+    for end-of-run collection -- through :meth:`subscribe`, which
+    registers a callback invoked (synchronously, on the appending
+    thread) with every record added from then on.  Subscriptions change
+    neither the stored records nor the ``to_dict`` JSON schema.
     """
 
     def __init__(self, meta: Optional[Dict[str, Any]] = None) -> None:
@@ -180,12 +129,6 @@ class Telemetry:
             self._subscribers.remove(callback)
         except ValueError:
             pass
-
-    def stream(self) -> TelemetryStream:
-        """A live, thread-safe iterator over future records."""
-        stream = TelemetryStream(self)
-        self.subscribe(stream._push)
-        return stream
 
     def _notify(self, record: StageRecord) -> None:
         for callback in list(self._subscribers):

@@ -87,7 +87,6 @@ def job_for_spec(
     oracle: bool = True,
     check_irredundant: bool = True,
     mode: str = "static",
-    incremental: bool = True,
 ) -> Job:
     """The engine Job grading one scenario (result under key ``"fuzz"``)."""
     return Job(
@@ -101,7 +100,6 @@ def job_for_spec(
                 "oracle": oracle,
                 "check_irredundant": check_irredundant,
                 "mode": mode,
-                "incremental": incremental,
             },
             label="fuzz",
         )],
@@ -184,7 +182,6 @@ def run_campaign(
     oracle: bool = True,
     check_irredundant: bool = True,
     mode: str = "static",
-    incremental: bool = True,
     report_path: Optional[str] = None,
     minimize_dir: Optional[str] = None,
     max_checks: int = 4000,
@@ -198,7 +195,7 @@ def run_campaign(
     engine_jobs = [
         job_for_spec(
             spec, oracle=oracle, check_irredundant=check_irredundant,
-            mode=mode, incremental=incremental,
+            mode=mode,
         )
         for spec in specs
     ]
@@ -237,7 +234,6 @@ def run_campaign(
                 shrunk = minimize_failure(
                     payload["spec"], item, out_dir=minimize_dir,
                     max_checks=max_checks, mode=mode,
-                    incremental=incremental,
                 )
                 if shrunk is not None:
                     minimized.append(shrunk)

@@ -125,7 +125,6 @@ def grade_scenario(
     oracle: bool = True,
     check_irredundant: bool = True,
     mode: str = "static",
-    incremental: bool = True,
     classifier: Optional[Classifier] = None,
     expect: Optional[str] = None,
 ) -> Dict[str, Any]:
@@ -165,10 +164,8 @@ def grade_scenario(
     window = Window()
     if classifier is not None:
         proved = set(classifier(circuit, faults))
-    elif incremental:
-        proved = set(ProofEngine(circuit).redundant_faults(faults))
     else:
-        proved = set(redundant_faults(circuit, faults, incremental=False))
+        proved = set(ProofEngine(circuit).redundant_faults(faults))
     counters.update(
         (f"proof_{name}", value) for name, value in window.delta().items()
     )
@@ -221,12 +218,7 @@ def grade_scenario(
 
     # --- KMS under test ------------------------------------------------ #
     planted_sense = sensitizable_delay(circuit, model).delay
-    result = kms(
-        circuit,
-        mode=mode,
-        model=model,
-        incremental=incremental,
-    )
+    result = kms(circuit, mode=mode, model=model)
     final = result.circuit
     counters.update(
         (f"kms_{name}", value) for name, value in result.counters.items()
@@ -258,7 +250,7 @@ def grade_scenario(
             f"exceeds base {base_topo}",
         )
 
-    if check_irredundant and not is_irredundant(final, incremental=incremental):
+    if check_irredundant and not is_irredundant(final):
         mismatches.add(
             "residual_redundancy", "KMS output is not irredundant"
         )

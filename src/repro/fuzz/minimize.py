@@ -231,7 +231,6 @@ def predicate_for(
     fault: Any = None,
     classifier: Optional[Callable[[Circuit, Sequence[Any]], Any]] = None,
     mode: str = "static",
-    incremental: bool = True,
 ) -> Predicate:
     """A self-contained failure predicate for a grading mismatch kind.
 
@@ -284,10 +283,7 @@ def predicate_for(
         try:
             model = AsBuiltDelayModel()
             before = circuit.copy()
-            result = kms(
-                circuit.copy(), mode=mode, model=model,
-                incremental=incremental,
-            )
+            result = kms(circuit.copy(), mode=mode, model=model)
             after = result.circuit
             if kind == "false_removal":
                 return not check_equivalence(
@@ -300,7 +296,7 @@ def predicate_for(
                     or topological_delay(after, model)
                     > topological_delay(before, model)
                 )
-            return not is_irredundant(after, incremental=incremental)
+            return not is_irredundant(after)
         except Exception:
             return False
 
@@ -467,7 +463,6 @@ def minimize_failure(
     max_checks: int = 4000,
     classifier: Optional[Callable[[Circuit, Sequence[Any]], Any]] = None,
     mode: str = "static",
-    incremental: bool = True,
 ) -> Optional[Dict[str, Any]]:
     """Shrink one grading mismatch to a minimal pytest reproducer.
 
@@ -491,8 +486,7 @@ def minimize_failure(
         fkind, site, value = mismatch["fault"]
         fault = Fault(fkind, site, value)
     predicate = predicate_for(
-        kind, fault=fault, classifier=classifier, mode=mode,
-        incremental=incremental,
+        kind, fault=fault, classifier=classifier, mode=mode
     )
     circuit = build_scenario(spec).circuit
     if not predicate(circuit):

@@ -15,9 +15,8 @@ one result type:
   over the miter cones (canonical forms decide both ways).  Only when
   all three abstain does the checker issue a single incremental SAT
   call over the unresolved output pairs -- the same one-call budget as
-  the CNF path, on a smaller, hashed formula.  An optional full SAT
-  sweep (``sweep=True``) fraigs the miter first for pathological cases
-  where that one monolithic call would be too hard.
+  the CNF path, on a smaller, hashed formula.  That call is complete,
+  so the path decides every pair.
 
 * ``method="cnf"`` -- the classic whole-circuit Tseitin miter: every
   pair of same-named outputs feeds an XOR, the OR of all XORs is
@@ -59,7 +58,7 @@ class EquivalenceResult:
 
 
 def check_equivalence(
-    a: Circuit, b: Circuit, method: str = "fraig", sweep: bool = False
+    a: Circuit, b: Circuit, method: str = "fraig"
 ) -> EquivalenceResult:
     """Prove or refute functional equivalence of two circuits.
 
@@ -68,7 +67,7 @@ def check_equivalence(
     interfaces differ -- that is a harness bug, not an inequivalence.
     """
     if method == "fraig":
-        return _check_fraig(a, b, sweep=sweep)
+        return _check_fraig(a, b)
     if method == "cnf":
         return _check_cnf(a, b)
     raise ValueError(f"unknown equivalence method {method!r}")
@@ -78,8 +77,8 @@ def check_equivalence(
 # fraig-first engine
 # ---------------------------------------------------------------------- #
 
-def _check_fraig(a: Circuit, b: Circuit, sweep: bool = False) -> EquivalenceResult:
-    from ..aig import fraig as fraig_fn, miter_aig
+def _check_fraig(a: Circuit, b: Circuit) -> EquivalenceResult:
+    from ..aig import miter_aig
     from ..aig.fraig import SweepSolver
 
     aig, pairs = miter_aig(a, b)
@@ -114,19 +113,6 @@ def _check_fraig(a: Circuit, b: Circuit, sweep: bool = False) -> EquivalenceResu
     verdict = _check_bdd(aig, unresolved)
     if verdict is not None:
         return verdict
-
-    if sweep:
-        result = fraig_fn(aig, conflict_limit=1000)
-        swept = {
-            name: (result.map_lit(la), result.map_lit(lb))
-            for name, (la, lb) in unresolved.items()
-        }
-        unresolved = {
-            name: lits for name, lits in swept.items() if lits[0] != lits[1]
-        }
-        if not unresolved:
-            return EquivalenceResult(equivalent=True)
-        aig = result.aig
 
     # one incremental SAT call over every unresolved pair
     sweeper = SweepSolver(aig, conflict_limit=None)

@@ -21,7 +21,6 @@ from .parallel import (
 )
 from .kernel import (
     ArenaCompiledCircuit,
-    CompiledAig,
     CompiledCircuit,
     get_compiled,
     refresh_compiled,
@@ -36,7 +35,6 @@ from .events import (
 
 __all__ = [
     "ArenaCompiledCircuit",
-    "CompiledAig",
     "CompiledCircuit",
     "D",
     "DBAR",

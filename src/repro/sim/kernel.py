@@ -681,62 +681,3 @@ def refresh_compiled(
     kern = getattr(circuit, "_compiled_kernel", None)
     if kern is not None and kern.circuit is circuit:
         kern.refresh(touched)
-
-
-# ---------------------------------------------------------------------- #
-# compiled AIG simulation (the fraig refinement path)
-# ---------------------------------------------------------------------- #
-
-class CompiledAig:
-    """Flat bit-parallel simulation schedule for an :class:`Aig`.
-
-    AIG node ids are already topological, so "compiling" means freezing
-    the live AND nodes and their (node, phase-mask) fanins into parallel
-    lists once, instead of re-walking ``fanins()`` tuples per call --
-    the cost :func:`repro.aig.fraig.fraig` pays once per counterexample
-    refinement.  AIGs are append-only; the schedule covers the node
-    range at compile time and refuses to simulate a grown graph
-    (rebuild for that -- fraig never grows the graph it refines).
-    """
-
-    def __init__(self, aig) -> None:
-        self.aig = aig
-        self.num_nodes = aig.num_nodes()
-        ands: List[int] = []
-        fanin_node0: List[int] = []
-        fanin_node1: List[int] = []
-        fanin_neg0: List[int] = []
-        fanin_neg1: List[int] = []
-        for node in aig.and_nodes():
-            f0, f1 = aig.fanins(node)
-            ands.append(node)
-            fanin_node0.append(f0 >> 1)
-            fanin_node1.append(f1 >> 1)
-            fanin_neg0.append(f0 & 1)
-            fanin_neg1.append(f1 & 1)
-        self.ands = ands
-        self.fanin_node0 = fanin_node0
-        self.fanin_node1 = fanin_node1
-        self.fanin_neg0 = fanin_neg0
-        self.fanin_neg1 = fanin_neg1
-        self.inputs = list(aig.inputs)
-
-    def simulate(
-        self, packed_inputs: Mapping[int, int], width: int
-    ) -> List[int]:
-        """Bit-identical to :meth:`Aig.simulate` over the compiled range."""
-        if self.aig.num_nodes() != self.num_nodes:
-            raise RuntimeError(
-                "CompiledAig is stale: the AIG grew since compile"
-            )
-        mask = (1 << width) - 1
-        values = [0] * self.num_nodes
-        for node in self.inputs:
-            values[node] = packed_inputs.get(node, 0) & mask
-        neg_words = (0, mask)
-        for i, node in enumerate(self.ands):
-            v0 = values[self.fanin_node0[i]] ^ neg_words[self.fanin_neg0[i]]
-            v1 = values[self.fanin_node1[i]] ^ neg_words[self.fanin_neg1[i]]
-            values[node] = v0 & v1
-        count("gate_evals_good", len(self.ands))
-        return values

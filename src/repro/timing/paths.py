@@ -115,8 +115,10 @@ def iter_paths_longest_first(
     prefix length ``L`` has priority ``L + dist_to_po(u)`` -- an exact
     (hence admissible and consistent) bound on the best completion, so
     paths pop in sorted order.  Paths through constants (which never
-    transition) are excluded.
+    transition) are excluded.  ``max_paths <= 0`` yields nothing.
     """
+    if max_paths is not None and max_paths <= 0:
+        return
     model = model if model is not None else AsBuiltDelayModel()
     ann = annotation if annotation is not None else analyze(circuit, model)
     counter = itertools.count()

@@ -9,11 +9,15 @@ from repro.aig import (
     LIT_TRUE,
     Aig,
     AigError,
+    aig_to_circuit,
+    circuit_to_aig,
     lit_make,
     lit_neg,
     lit_node,
     lit_phase,
 )
+from repro.circuits import random_circuit
+from repro.sim import simulate_packed
 
 
 def test_literal_encoding():
@@ -118,6 +122,31 @@ def test_simulate_packed_matches_single_patterns():
             for node in aig.inputs
         })
         assert single["f"] == (packed >> bit) & 1
+
+
+def test_simulate_matches_circuit_reference():
+    """Aig.simulate against an independent evaluator: the interpreted
+    gate-level simulator on the AIG rebuilt as a circuit."""
+    aig, _ = circuit_to_aig(
+        random_circuit(num_inputs=5, num_gates=14, seed=3)
+    )
+    reference = aig_to_circuit(aig)
+    po_gid = {reference.gates[g].name: g for g in reference.outputs}
+    rng = random.Random(0)
+    for width in (1, 64, 200):
+        patterns = aig.random_patterns(width, rng)
+        mask = (1 << width) - 1
+        values = aig.simulate(patterns, width)
+        expected = simulate_packed(
+            reference,
+            {
+                reference.find_input(aig.input_name(node)): word
+                for node, word in patterns.items()
+            },
+            width,
+        )
+        for name, lit in aig.outputs:
+            assert aig.lit_value(values, lit, mask) == expected[po_gid[name]]
 
 
 def test_cone_is_topological_and_live_only():

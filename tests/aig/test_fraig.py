@@ -3,12 +3,19 @@
 from repro.aig import (
     Aig,
     SweepSolver,
+    aig_to_circuit,
     circuit_to_aig,
     fraig,
     lit_neg,
 )
-from repro.circuits import carry_skip_adder, random_redundant_circuit
+from repro.circuits import (
+    MCNC_NAMES,
+    carry_skip_adder,
+    mcnc_circuit,
+    random_redundant_circuit,
+)
 from repro.counters import Window
+from repro.sat import check_equivalence
 
 
 def _xor_two_ways():
@@ -108,6 +115,16 @@ def test_fraig_shrinks_redundant_adder():
     assert result.aig.num_ands(live_only=True) <= before
     assert result.stats.sat_refuted >= 0  # counters populated
     assert result.stats.patterns >= 128
+
+
+def test_fraig_sweeps_every_mcnc_stand_in():
+    """circuit_to_aig mixes inputs in among the AND nodes, so a SAT
+    refutation can arrive before the sweep has created every input."""
+    for name in MCNC_NAMES:
+        circuit = mcnc_circuit(name)
+        aig, _ = circuit_to_aig(circuit)
+        swept = aig_to_circuit(fraig(aig).aig, name=circuit.name)
+        assert check_equivalence(circuit, swept).equivalent, name
 
 
 def test_fraig_counterexample_feedback_refines_classes():

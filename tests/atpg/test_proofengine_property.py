@@ -48,8 +48,8 @@ def _check_ab(circuit, backtrack_limit=100, patterns=64):
     assert _steps(inc) == _steps(full), circuit.name
     assert (circuit_fingerprint(inc.circuit)
             == circuit_fingerprint(full.circuit)), circuit.name
-    assert is_irredundant(inc.circuit, incremental=True), circuit.name
-    assert is_irredundant(full.circuit, incremental=False), circuit.name
+    assert is_irredundant(inc.circuit), circuit.name
+    assert not redundant_faults(full.circuit, incremental=False), circuit.name
     assert (redundant_faults(circuit, incremental=True)
             == redundant_faults(circuit, incremental=False)), circuit.name
     return inc

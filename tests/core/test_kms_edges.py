@@ -1,11 +1,15 @@
 """KMS edge cases and guard rails."""
 
+import importlib
+
 import pytest
 
-from repro.circuits import fig4_c2_cone
+from repro.circuits import carry_skip_adder, fig4_c2_cone
 from repro.core import KmsError, kms
 from repro.network import Builder
+from repro.network.transform import duplicate_chain
 from repro.sat import check_equivalence
+from repro.timing import AsBuiltDelayModel
 
 
 class TestDegenerateInputs:
@@ -59,6 +63,29 @@ class TestGuards:
         c = fig4_c2_cone()
         result = kms(c, trace=False)
         assert all(e.snapshot is None for e in result.events)
+
+    def test_checked_mode_catches_delay_changing_duplication(
+        self, monkeypatch
+    ):
+        """Theorem 7.1: a duplication that slows the chain must raise,
+        even though tying off P' later deletes the slowed duplicate."""
+
+        def slow_duplicate_chain(circuit, chain, path_conns):
+            mapping, conns, touched = duplicate_chain(
+                circuit, chain, path_conns
+            )
+            last = mapping[chain[-1]]
+            circuit.set_gate_delay(last, circuit.gates[last].delay + 3)
+            return mapping, conns, touched
+
+        monkeypatch.setattr(
+            importlib.import_module("repro.core.kms"),
+            "duplicate_chain",
+            slow_duplicate_chain,
+        )
+        with pytest.raises(KmsError, match="duplication changed the delay"):
+            kms(carry_skip_adder(4, 2), model=AsBuiltDelayModel(),
+                checked=True)
 
 
 def test_max_iterations_zero_ok_when_no_work_needed():

@@ -1,6 +1,4 @@
-"""Telemetry streaming subscriptions (and JSON-schema stability)."""
-
-import threading
+"""Telemetry subscriptions (and JSON-schema stability)."""
 
 from repro.engine import StageRecord, Telemetry
 
@@ -30,39 +28,6 @@ def test_subscribe_sees_adds_and_extends():
 
 def test_unsubscribe_unknown_callback_is_noop():
     Telemetry().unsubscribe(lambda r: None)
-
-
-def test_stream_yields_live_records_across_threads():
-    telemetry = Telemetry()
-    stream = telemetry.stream()
-    got = []
-
-    def consume():
-        for record in stream:
-            got.append(record)
-
-    consumer = threading.Thread(target=consume)
-    consumer.start()
-    for i in range(5):
-        telemetry.add(_record(i))
-    stream.close()
-    consumer.join(timeout=5)
-    assert not consumer.is_alive()
-    assert [r.job for r in got] == [f"job{i}" for i in range(5)]
-    # closed stream no longer receives
-    telemetry.add(_record(9))
-    assert len(got) == 5
-
-
-def test_stream_get_with_timeout():
-    telemetry = Telemetry()
-    stream = telemetry.stream()
-    assert stream.get(timeout=0.01) is None
-    telemetry.add(_record(0))
-    record = stream.get(timeout=1)
-    assert record is not None and record.job == "job0"
-    stream.close()
-    assert stream.get(timeout=0.01) is None
 
 
 def test_json_schema_unchanged_by_streaming_api():

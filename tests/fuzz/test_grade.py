@@ -55,14 +55,6 @@ def test_clean_grade_passes(variant):
     assert payload["seconds"] > 0
 
 
-def test_from_scratch_grading_matches_incremental():
-    a = grade_scenario(_spec(), incremental=True)
-    b = grade_scenario(_spec(), incremental=False)
-    assert a["ok"] and b["ok"]
-    assert a["recall"] == b["recall"]
-    assert a["gates_final"] == b["gates_final"]
-
-
 def test_broken_classifier_yields_recall_miss_and_divergence():
     refuser = lambda circuit, faults: []  # noqa: E731 - test double
     payload = grade_scenario(_spec(), classifier=refuser)

@@ -6,7 +6,6 @@ from repro.circuits import (
     carry_skip_adder,
     fig2_irredundant_block,
     random_circuit,
-    random_redundant_circuit,
 )
 from repro.core import kms
 from repro.counters import Window
@@ -71,12 +70,6 @@ def _eval(circuit, assignment):
     return {
         circuit.gates[g].name: values[g] for g in circuit.outputs
     }
-
-
-def test_sweep_opt_in_still_correct():
-    a = random_redundant_circuit(seed=4)
-    b = random_redundant_circuit(seed=4)
-    assert check_equivalence(a, b, method="fraig", sweep=True).equivalent
 
 
 def test_fraig_on_self_is_structural():

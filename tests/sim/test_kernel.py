@@ -12,7 +12,6 @@ from repro.circuits import carry_skip_adder, random_circuit
 from repro.counters import Window
 from repro.network import GateType
 from repro.sim import (
-    CompiledAig,
     CompiledCircuit,
     get_compiled,
     refresh_compiled,
@@ -226,35 +225,3 @@ def test_numpy_backend_matches_python(width):
     assert kern.evaluate(packed, width) == numpy_reference.simulate_packed(
         c, packed, width
     )
-
-
-# ---------------------------------------------------------------------- #
-# compiled AIG
-# ---------------------------------------------------------------------- #
-
-def test_compiled_aig_matches_interpreted():
-    import random
-
-    from repro.aig import circuit_to_aig
-
-    c = random_circuit(num_inputs=5, num_gates=14, seed=3)
-    aig, _ = circuit_to_aig(c)
-    rng = random.Random(0)
-    for width in (1, 64, 200):
-        patterns = aig.random_patterns(width, rng)
-        assert CompiledAig(aig).simulate(patterns, width) == aig.simulate(
-            patterns, width
-        )
-
-
-def test_compiled_aig_rejects_grown_graph():
-    from repro.aig import Aig
-
-    aig = Aig("g")
-    a = aig.add_input("a")
-    b = aig.add_input("b")
-    aig.add_output("y", aig.add_and(a, b))
-    sim = CompiledAig(aig)
-    aig.add_and(a, b ^ 1)
-    with pytest.raises(RuntimeError):
-        sim.simulate({}, 1)

@@ -151,6 +151,16 @@ def test_aig_fraig_command(csa_blif, tmp_path, capsys):
     assert check_equivalence(original, swept).equivalent
 
 
+def test_aig_fraig_command_on_mcnc(tmp_path, capsys):
+    blif = tmp_path / "f51m.blif"
+    assert main(["generate", "f51m", "-o", str(blif)]) == 0
+    out = tmp_path / "swept.blif"
+    assert main(["aig", "fraig", str(blif), "-o", str(out)]) == 0
+    original = parse_blif(blif.read_text())
+    swept = parse_blif(out.read_text())
+    assert check_equivalence(original, swept).equivalent
+
+
 def test_aig_redundant_command(csa_blif, tmp_path, capsys):
     # pre-KMS carry-skip: redundant edges exist -> exit 1
     assert main(["aig", "redundant", str(csa_blif)]) == 1

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import fig1_carry_skip_block, random_circuit
+from repro.circuits import (
+    carry_skip_adder,
+    fig1_carry_skip_block,
+    random_circuit,
+)
 from repro.timing import (
     analyze,
     iter_paths_longest_first,
@@ -70,6 +74,11 @@ class TestEnumeration:
         assert (
             len(list(iter_paths_longest_first(c, max_paths=5))) <= 5
         )
+
+    def test_max_paths_zero_yields_nothing(self):
+        c = carry_skip_adder(2, 2)
+        assert list(iter_paths_longest_first(c, max_paths=0)) == []
+        assert list(iter_paths_longest_first(c, max_paths=-1)) == []
 
 
 class TestPathApi:
