@@ -75,8 +75,8 @@ def compact(
         chunk = vectors[start : start + block]
         packed, width = pack_vectors(circuit, chunk)
         good_words = kern.evaluate_words(packed, width)
-        for f_idx, fault in enumerate(worklist):
-            mask = kern.detecting_word(fault, good_words, width)
+        masks = kern.detecting_words(worklist, good_words, width)
+        for f_idx, mask in enumerate(masks):
             while mask:
                 bit = (mask & -mask).bit_length() - 1
                 detected_by[start + bit].add(f_idx)

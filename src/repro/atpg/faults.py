@@ -10,11 +10,12 @@ collapsed fault list keeps one of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Tuple
 
 from ..network import (
     Circuit,
     GateType,
+    controlled_output,
     controlling_value,
     has_controlling_value,
 )
@@ -97,6 +98,21 @@ def all_faults(circuit: Circuit) -> List[Fault]:
     return faults
 
 
+def _input_equivalences(gtype: GateType) -> Tuple[Tuple[int, int], ...]:
+    """``(input stuck value, equivalent output stem stuck value)``
+    pairs of one gate type's structural fault equivalences."""
+    if gtype in (GateType.BUF, GateType.OUTPUT):
+        return ((0, 0), (1, 1))
+    if gtype is GateType.NOT:
+        return ((0, 1), (1, 0))
+    if has_controlling_value(gtype):
+        return ((controlling_value(gtype), controlled_output(gtype)),)
+    return ()
+
+
+_INPUT_EQUIVALENCES = {gtype: _input_equivalences(gtype) for gtype in GateType}
+
+
 def collapsed_faults(circuit: Circuit) -> List[Fault]:
     """Equivalence-collapsed fault list.
 
@@ -115,79 +131,72 @@ def collapsed_faults(circuit: Circuit) -> List[Fault]:
     construction, so one polarity is undetectable-by-definition rather
     than interestingly redundant, and the other is equivalent to faults
     downstream.
+
+    The union-find runs over integer keys: ``2 * cid + v`` for a
+    connection fault and ``offset + 2 * gid + v`` for a stem fault, so
+    integer order is both the representative preference (connections
+    first, then site, then value) and the order of the returned list.
+    Each class is rooted at its smallest key, and a :class:`Fault` is
+    built only for the roots.
     """
-    parent: dict = {}
-
-    def find(x: Fault) -> Fault:
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(a: Fault, b: Fault) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    universe: List[Fault] = []
+    gates = circuit.gates
+    conns = circuit.conns
     const_gids = {
         gid
-        for gid, g in circuit.gates.items()
+        for gid, g in gates.items()
         if g.gtype in (GateType.CONST0, GateType.CONST1)
     }
-    for gid, gate in circuit.gates.items():
+    offset = 2 * (max(conns, default=-1) + 1)
+    parent: Dict[int, int] = {}
+
+    def find(x: int) -> int:
+        root = x
+        while root in parent:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra < rb:
+            parent[rb] = ra
+        elif rb < ra:
+            parent[ra] = rb
+
+    universe: List[int] = []
+    for cid, conn in conns.items():
+        if conn.src in const_gids:
+            continue
+        key = 2 * cid
+        universe.append(key)
+        universe.append(key + 1)
+        stem = offset + 2 * conn.dst
+        for v, out in _INPUT_EQUIVALENCES[gates[conn.dst].gtype]:
+            union(key + v, stem + out)
+    for gid, gate in gates.items():
         if gate.gtype is GateType.OUTPUT or gid in const_gids:
             continue
         if not gate.fanout:
             continue  # floating line: not a fault site
-        universe.append(stem_fault(gid, 0))
-        universe.append(stem_fault(gid, 1))
-    for cid, conn in circuit.conns.items():
-        if conn.src in const_gids:
-            continue
-        universe.append(conn_fault(cid, 0))
-        universe.append(conn_fault(cid, 1))
-    present = set(universe)
-
-    for cid, conn in circuit.conns.items():
-        if conn.src in const_gids:
-            continue
-        dst = circuit.gates[conn.dst]
-        if dst.gtype in (GateType.BUF, GateType.OUTPUT):
-            for v in (0, 1):
-                union(conn_fault(cid, v), stem_fault(conn.dst, v))
-        elif dst.gtype is GateType.NOT:
-            for v in (0, 1):
-                union(conn_fault(cid, v), stem_fault(conn.dst, 1 - v))
-        elif has_controlling_value(dst.gtype):
-            cv = controlling_value(dst.gtype)
-            from ..network.gates import controlled_output
-
-            union(
-                conn_fault(cid, cv),
-                stem_fault(conn.dst, controlled_output(dst.gtype)),
-            )
-    for gid, gate in circuit.gates.items():
-        if gate.gtype is GateType.OUTPUT or gid in const_gids:
-            continue
+        key = offset + 2 * gid
+        universe.append(key)
+        universe.append(key + 1)
         if len(gate.fanout) == 1:
             cid = gate.fanout[0]
-            for v in (0, 1):
-                union(stem_fault(gid, v), conn_fault(cid, v))
+            union(key, 2 * cid)
+            union(key + 1, 2 * cid + 1)
 
-    # OUTPUT stems were used above as class anchors but are not real
-    # fault sites themselves; drop classes whose members are all absent.
-    classes: dict = {}
-    for f in universe:
-        classes.setdefault(find(f), []).append(f)
+    # A key outside the universe (an OUTPUT or floating stem) joins a
+    # class only through a connection fault, whose key is smaller, so
+    # every class is rooted at a universe key: its representative.
     result: List[Fault] = []
-    for members in classes.values():
-        members = [m for m in members if m in present]
-        if not members:
-            continue
-        members.sort(key=lambda f: (f.kind != CONN, f.site, f.value))
-        result.append(members[0])
-    result.sort(key=lambda f: (f.kind, f.site, f.value))
+    for key in sorted(k for k in universe if k not in parent):
+        if key < offset:
+            result.append(Fault(CONN, key >> 1, key & 1))
+        else:
+            key -= offset
+            result.append(Fault(STEM, key >> 1, key & 1))
     return result
 
 

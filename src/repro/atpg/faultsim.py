@@ -1,11 +1,15 @@
 """Bit-parallel stuck-at fault simulation.
 
-Parallel-pattern, serial-fault: the good circuit is simulated once per
-pattern block; each fault is then resimulated with the stuck value
-injected, and detection is the bitwise difference at any output.  Used
-to grade test sets (fault coverage), to cross-check ATPG ("the vector
-PODEM produced really does detect the fault"), and to drop detected
-faults cheaply in the test-generation flow.
+Parallel-pattern: the good circuit is simulated once per pattern block,
+and detection is the bitwise difference at any output.  A single fault
+(:func:`detecting_patterns`) is resimulated with the stuck value
+injected, through its fanout cone on the compiled kernel.  A fault list
+(:func:`fault_coverage`) is graded on the kernel's ``detecting_words``:
+one propagation per fanout-free region, each fault's mask exactly the
+one its own cone would give.  Used to grade test sets (fault
+coverage), to cross-check ATPG ("this vector really does detect the
+fault"), and to drop detected faults cheaply in the test-generation
+flow.
 """
 
 from __future__ import annotations
@@ -236,26 +240,27 @@ def fault_coverage(
 ) -> CoverageReport:
     """Grade a test set against a fault list.
 
-    Parallel-pattern serial-fault with fault dropping: each ``block``
-    of vectors is packed and simulated once for the good circuit, every
+    Parallel-pattern with fault dropping: each ``block`` of vectors is
+    packed and simulated once for the good circuit, every
     still-undetected fault is graded against it, and detected faults
     leave the active list.  ``compiled`` follows the shared convention;
-    on the kernel path each fault costs only its fanout cone.
+    the kernel path grades the block with one propagation per
+    fanout-free region (``detecting_words``), the interpreted path with
+    one full faulty simulation per fault.
     ``vectors`` may be a :class:`PackedCorpus` to reuse hoisted packing
     across many calls.
     """
     kern = _resolve_compiled(circuit, compiled)
     remaining = list(faults)
     for packed, width in _iter_packed_blocks(circuit, vectors, block):
-        still = []
         if kern is not None:
             good_words = kern.evaluate_words(packed, width)
-            for fault in remaining:
-                if not kern.detecting_word(fault, good_words, width):
-                    still.append(fault)
+            words = kern.detecting_words(remaining, good_words, width)
+            still = [f for f, word in zip(remaining, words) if not word]
             kern.note_dropped(len(remaining) - len(still))
         else:
             good = simulate_packed(circuit, packed, width)
+            still = []
             for fault in remaining:
                 if not detecting_patterns(
                     circuit, fault, packed, width, good, compiled=False

@@ -1,5 +1,8 @@
 """Fault model and collapsing."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,9 +14,101 @@ from repro.atpg import (
     inject,
     stem_fault,
 )
-from repro.circuits import random_circuit
-from repro.network import Builder
+from repro.atpg.faults import CONN
+from repro.circuits import (
+    MCNC_NAMES,
+    carry_skip_adder,
+    mcnc_circuit,
+    random_circuit,
+    random_redundant_circuit,
+    ripple_carry_adder,
+)
+from repro.network import (
+    Builder,
+    GateType,
+    controlled_output,
+    controlling_value,
+    has_controlling_value,
+)
+from repro.network.transform import set_connection_constant
 from repro.sim import outputs_equal_exhaustive
+
+
+def reference_collapsed_faults(circuit):
+    """The union-find over :class:`Fault` objects that
+    ``collapsed_faults`` replaced: same rules, dataclass-keyed, one
+    class dict, a sort per class."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    universe = []
+    const_gids = {
+        gid
+        for gid, g in circuit.gates.items()
+        if g.gtype in (GateType.CONST0, GateType.CONST1)
+    }
+    for gid, gate in circuit.gates.items():
+        if gate.gtype is GateType.OUTPUT or gid in const_gids:
+            continue
+        if not gate.fanout:
+            continue
+        universe.append(stem_fault(gid, 0))
+        universe.append(stem_fault(gid, 1))
+    for cid, conn in circuit.conns.items():
+        if conn.src in const_gids:
+            continue
+        universe.append(conn_fault(cid, 0))
+        universe.append(conn_fault(cid, 1))
+    present = set(universe)
+
+    for cid, conn in circuit.conns.items():
+        if conn.src in const_gids:
+            continue
+        dst = circuit.gates[conn.dst]
+        if dst.gtype in (GateType.BUF, GateType.OUTPUT):
+            for v in (0, 1):
+                union(conn_fault(cid, v), stem_fault(conn.dst, v))
+        elif dst.gtype is GateType.NOT:
+            for v in (0, 1):
+                union(conn_fault(cid, v), stem_fault(conn.dst, 1 - v))
+        elif has_controlling_value(dst.gtype):
+            union(
+                conn_fault(cid, controlling_value(dst.gtype)),
+                stem_fault(conn.dst, controlled_output(dst.gtype)),
+            )
+    for gid, gate in circuit.gates.items():
+        if gate.gtype is GateType.OUTPUT or gid in const_gids:
+            continue
+        if len(gate.fanout) == 1:
+            cid = gate.fanout[0]
+            for v in (0, 1):
+                union(stem_fault(gid, v), conn_fault(cid, v))
+
+    classes = {}
+    for f in universe:
+        classes.setdefault(find(f), []).append(f)
+    result = []
+    for members in classes.values():
+        members = [m for m in members if m in present]
+        if not members:
+            continue
+        members.sort(key=lambda f: (f.kind != CONN, f.site, f.value))
+        result.append(members[0])
+    result.sort(key=lambda f: (f.kind, f.site, f.value))
+    return result
+
+
+CSA_PINS = [(2, 2), (4, 2), (4, 4), (6, 2), (6, 3), (8, 2), (8, 4)]
 
 
 class TestFaultLists:
@@ -64,6 +159,45 @@ class TestFaultLists:
             engine.is_redundant(f) for f in collapsed_faults(c)
         )
         assert full_red == collapsed_red
+
+
+class TestCollapsingPinnedToReference:
+    @pytest.mark.parametrize("name", MCNC_NAMES)
+    def test_mcnc(self, name):
+        c = mcnc_circuit(name)
+        assert collapsed_faults(c) == reference_collapsed_faults(c)
+
+    @pytest.mark.parametrize("nbits,block", CSA_PINS)
+    def test_carry_skip(self, nbits, block):
+        c = carry_skip_adder(nbits, block)
+        assert collapsed_faults(c) == reference_collapsed_faults(c)
+
+    def test_ripple_carry_64(self):
+        c = ripple_carry_adder(64)
+        assert collapsed_faults(c) == reference_collapsed_faults(c)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_random_draws(self, seed):
+        """A random and a redundant-spliced circuit per seed; every
+        other seed also ties two connections to constants, so faults
+        on constant lines are excluded on both sides."""
+        rng = random.Random(seed)
+        circuits = [
+            random_circuit(
+                num_inputs=rng.randint(2, 8),
+                num_gates=rng.randint(3, 40),
+                num_outputs=rng.randint(1, 4),
+                seed=seed,
+            ),
+            random_redundant_circuit(
+                num_gates=rng.randint(5, 30), seed=seed
+            ),
+        ]
+        for c in circuits:
+            if seed % 2:
+                for cid in rng.sample(sorted(c.conns), 2):
+                    set_connection_constant(c, cid, rng.randint(0, 1))
+            assert collapsed_faults(c) == reference_collapsed_faults(c)
 
 
 class TestInjection:

@@ -3,13 +3,15 @@
 import pytest
 
 from repro.atpg import (
+    all_faults,
     collapsed_faults,
     fault_coverage,
     random_vectors,
     stem_fault,
 )
-from repro.circuits import carry_skip_adder, random_circuit
+from repro.circuits import carry_skip_adder, mcnc_circuit, random_circuit
 from repro.counters import Window
+from repro.net.arena import attach_arena
 from repro.network import GateType
 from repro.sim import (
     CompiledCircuit,
@@ -205,6 +207,38 @@ def test_every_work_counter_moves_on_grade_mutate_grade():
     assert all(counters.values()), counters
     # one compile for the first grade, one recompile after the mutation
     assert counters["compile_rebuilds"] == 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: carry_skip_adder(nbits=4, block_size=2),
+        lambda: random_circuit(num_inputs=6, num_gates=40, seed=3),
+        lambda: mcnc_circuit("z4ml"),
+    ],
+    ids=["csa4.2", "rand", "z4ml"],
+)
+def test_grading_charges_identical_counts_under_both_kernels(make):
+    """The region pass is shared, and both kernels' stem propagations
+    evaluate the same gates: one grading charges the same faulty-cone
+    work with and without an arena."""
+    seen = []
+    for arena in (False, True):
+        c = make()
+        if arena:
+            attach_arena(c)
+        window = Window()
+        report = fault_coverage(c, all_faults(c), random_vectors(c, 96, seed=4))
+        delta = window.delta()
+        seen.append((
+            report.undetected_faults,
+            {
+                name: delta[name]
+                for name in ("gate_evals_faulty", "cone_cutoffs", "faults_dropped")
+            },
+        ))
+    assert seen[0] == seen[1]
+    assert seen[0][1]["gate_evals_faulty"]
 
 
 # ---------------------------------------------------------------------- #
