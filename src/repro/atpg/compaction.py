@@ -10,6 +10,7 @@ greedy set covering over the fault-simulation detection matrix.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -57,7 +58,8 @@ def compact(
     """Shrink a test set preserving its fault coverage.
 
     Greedy set covering over the detection matrix: repeatedly keep the
-    vector detecting the most still-uncovered faults.  The result's
+    vector detecting the most still-uncovered faults (the lowest index
+    on ties), picked lazily from a heap of stale gains.  The result's
     coverage equals the input's (never worse).
     """
     worklist = (
@@ -81,17 +83,22 @@ def compact(
                 bit = (mask & -mask).bit_length() - 1
                 detected_by[start + bit].add(f_idx)
                 mask &= mask - 1
-    target = set().union(*detected_by) if detected_by else set()
+    # Lazy greedy: a vector's gain only shrinks as coverage grows, so a
+    # popped (-gain, index) whose recomputed gain still sorts at or
+    # before the next entry is the eager scan's pick (most new faults,
+    # lowest index on ties).
+    heap = [(-len(found), i) for i, found in enumerate(detected_by) if found]
+    heapq.heapify(heap)
     kept: List[Vector] = []
     covered: set = set()
-    while covered != target:
-        best = max(
-            range(len(vectors)),
-            key=lambda i: len(detected_by[i] - covered),
-        )
-        gain = detected_by[best] - covered
+    while heap:
+        _, i = heapq.heappop(heap)
+        gain = detected_by[i] - covered
         if not gain:
-            break
+            continue
+        if heap and (-len(gain), i) > heap[0]:
+            heapq.heappush(heap, (-len(gain), i))
+            continue
         covered |= gain
-        kept.append(vectors[best])
+        kept.append(vectors[i])
     return kept

@@ -67,7 +67,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..counters import count
 from ..network import Circuit
-from ..sat import CircuitEncoder, Solver
+from ..sat import ActivationCnf, CircuitEncoder, Solver
 from ..sim.kernel import refresh_compiled
 from .faults import CONN, Fault, anchor_gate, collapsed_faults
 from .faultsim import (
@@ -96,30 +96,6 @@ PROOF_COUNTERS = (
     "tseitin_builds",
     "random_words",
 )
-
-
-class _ActivationCnf:
-    """CNF facade over a live solver that gates every clause.
-
-    ``CircuitEncoder`` emits clauses through the ``new_var`` /
-    ``add_clause`` / ``add_unit`` surface; routing them here appends the
-    negated activation literal so the whole faulty-cone encoding is
-    switched on only under ``solve(assumptions=(act,))`` and retired
-    with a single root-level ``(-act)`` unit afterwards.
-    """
-
-    def __init__(self, solver: Solver, act: int) -> None:
-        self._solver = solver
-        self._act = act
-
-    def new_var(self) -> int:
-        return self._solver.new_var()
-
-    def add_clause(self, literals: Iterable[int]) -> None:
-        self._solver.add_clause(list(literals) + [-self._act])
-
-    def add_unit(self, literal: int) -> None:
-        self.add_clause((literal,))
 
 
 class ProofEngine:
@@ -380,9 +356,8 @@ def _prove_on_solver(
         cone = circuit.transitive_fanout([fault.site])
         cone.discard(fault.site)
         stem_gid = fault.site
-    gated = _ActivationCnf(solver, act)
-    encoder = CircuitEncoder.__new__(CircuitEncoder)
-    encoder.cnf = gated
+    gated = ActivationCnf(solver, act)
+    encoder = CircuitEncoder(gated)
     faulty_var: Dict[int, int] = {}
     for gid in circuit.topological_order():
         if gid not in cone:
@@ -399,7 +374,7 @@ def _prove_on_solver(
                 ins.append(faulty_var.get(src, good_var[src]))
         out = solver.new_var()
         faulty_var[gid] = out
-        encoder._constrain(gate.gtype, out, ins)
+        encoder.constrain(gate.gtype, out, ins)
     diff_lits: List[int] = []
     for po in circuit.outputs:
         if po not in faulty_var:

@@ -205,6 +205,9 @@ def kms(
         if checked:
             _check_invariants(circuit, work, model, baseline_delay)
         iteration += 1
+    # The loop's timing context (and its run-long SAT solver) is done;
+    # let it go before the cleanup builds its own solvers.
+    del timing
 
     # Duplicated chains whose siblings were later tied off are often
     # structurally identical again; fold them before the cleanup phase.

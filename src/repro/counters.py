@@ -64,6 +64,10 @@ GLOSSARY: Dict[str, str] = {
         "loop tests answered by the SAT solve; the per-path reference "
         "counts every longest path it checks"
     ),
+    "loop_gate_encodings": (
+        "gate definitions the loop test's solver encoded: every gate at "
+        "each (re)build, plus each gate re-encoded after a change"
+    ),
     # repro.atpg.proofengine
     "faults_requalified": "faults entering an epoch without a cached verdict",
     "verdicts_carried": "faults served from the verdict cache",

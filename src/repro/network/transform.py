@@ -31,12 +31,12 @@ surviving gate whose timing could have moved is covered).
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .circuit import Circuit, CircuitError
 from .gates import (
     GateType,
-    SOURCE_TYPES,
     controlled_output,
     controlling_value,
     degenerate_single_input_type,
@@ -74,18 +74,22 @@ def set_connection_constant(
 
 def _make_constant(
     circuit: Circuit, gid: int, value: int, touched: Set[int]
-) -> None:
-    """Replace logic gate ``gid`` by a constant source, rewiring fanout."""
+) -> List[int]:
+    """Replace logic gate ``gid`` by a constant source, rewiring fanout.
+    Returns the fanout gates, which the constant now feeds."""
     gate = circuit.gates[gid]
     const = circuit.add_gate(_CONST_TYPE[value], 0.0)
     touched.add(const)
+    fed = []
     for cid in list(gate.fanout):
-        touched.add(circuit.conns[cid].dst)
+        fed.append(circuit.conns[cid].dst)
         circuit.move_connection_source(cid, const)
+    touched.update(fed)
     for cid in list(gate.fanin):
         touched.add(circuit.conns[cid].src)
     circuit.remove_gate(gid)
     touched.discard(gid)
+    return fed
 
 
 def propagate_constants(
@@ -106,82 +110,98 @@ def propagate_constants(
     zero when ``zero_degenerate_delay`` -- the gate "is equivalent to a
     wire".  Dead gates left behind are swept.
 
+    One pass in topological order reaches the fixpoint: constants only
+    flow forward, and the pass reaches a gate after all of its fanins.
+    It visits only the gates a constant feeds, from a heap keyed on
+    their topological index; a gate that becomes constant queues its
+    fanout.
+
     Returns ``(removed, touched)``: the number of logic gates removed and
     the touched-gate set.
     """
     before = circuit.num_gates()
     touched: Set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for gid in circuit.topological_order():
-            if gid not in circuit.gates:
+    gates, conns = circuit.gates, circuit.conns
+    fed = {
+        conns[cid].dst
+        for gate in gates.values()
+        if gate.gtype in _CONST_VALUE
+        for cid in gate.fanout
+    }
+    order = circuit.topological_order() if fed else []
+    index = {gid: i for i, gid in enumerate(order)}
+    heap = sorted(index[gid] for gid in fed)
+    last = -1
+
+    def make_constant(gid: int, value: int) -> None:
+        for dst in _make_constant(circuit, gid, value, touched):
+            heapq.heappush(heap, index[dst])
+
+    while heap:
+        i = heapq.heappop(heap)
+        if i == last:
+            continue  # queued twice
+        last = i
+        gid = order[i]
+        gate = gates[gid]
+        if gate.gtype is GateType.OUTPUT:
+            continue
+        const_pins: List[Tuple[int, int]] = []
+        for cid in list(gate.fanin):
+            val = constant_value(circuit, conns[cid].src)
+            if val is not None:
+                const_pins.append((cid, val))
+        if not const_pins:
+            continue
+        touched.add(gid)
+        gtype = gate.gtype
+        if gtype is GateType.BUF:
+            make_constant(gid, const_pins[0][1])
+            continue
+        if gtype is GateType.NOT:
+            make_constant(gid, 1 - const_pins[0][1])
+            continue
+        if gtype in (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR):
+            cv = controlling_value(gtype)
+            if any(val == cv for _, val in const_pins):
+                make_constant(gid, controlled_output(gtype))
                 continue
-            gate = circuit.gates[gid]
-            if gate.gtype in SOURCE_TYPES or gate.gtype is GateType.OUTPUT:
-                continue
-            const_pins: List[Tuple[int, int]] = []
-            for cid in list(gate.fanin):
-                val = constant_value(circuit, circuit.conns[cid].src)
-                if val is not None:
-                    const_pins.append((cid, val))
-            if not const_pins:
-                continue
-            changed = True
-            touched.add(gid)
-            gtype = gate.gtype
-            if gtype in (GateType.BUF, GateType.OUTPUT):
-                _make_constant(circuit, gid, const_pins[0][1], touched)
-                continue
-            if gtype is GateType.NOT:
-                _make_constant(circuit, gid, 1 - const_pins[0][1], touched)
-                continue
-            if gtype in (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR):
-                cv = controlling_value(gtype)
-                if any(val == cv for _, val in const_pins):
-                    _make_constant(
-                        circuit, gid, controlled_output(gtype), touched
-                    )
-                    continue
-                for cid, _ in const_pins:  # all noncontrolling: drop pins
-                    touched.add(circuit.conns[cid].src)
-                    circuit.remove_connection(cid)
-            elif gtype in (GateType.XOR, GateType.XNOR):
-                flips = 0
-                for cid, val in const_pins:
-                    flips ^= val
-                    touched.add(circuit.conns[cid].src)
-                    circuit.remove_connection(cid)
-                if flips:
-                    circuit.set_gate_type(
-                        gid,
-                        GateType.XNOR
-                        if gtype is GateType.XOR
-                        else GateType.XOR,
-                    )
-            gate = circuit.gates[gid]
-            if not gate.fanin:
-                # every input was a noncontrolling constant: output is the
-                # identity-element result of the gate
-                empty = {
-                    GateType.AND: 1,
-                    GateType.NAND: 0,
-                    GateType.OR: 0,
-                    GateType.NOR: 1,
-                    GateType.XOR: 0,
-                    GateType.XNOR: 1,
-                }[gate.gtype]
-                _make_constant(circuit, gid, empty, touched)
-            elif len(gate.fanin) == 1 and gate.gtype not in (
-                GateType.BUF,
-                GateType.NOT,
-            ):
+            for cid, _ in const_pins:  # all noncontrolling: drop pins
+                touched.add(conns[cid].src)
+                circuit.remove_connection(cid)
+        elif gtype in (GateType.XOR, GateType.XNOR):
+            flips = 0
+            for cid, val in const_pins:
+                flips ^= val
+                touched.add(conns[cid].src)
+                circuit.remove_connection(cid)
+            if flips:
                 circuit.set_gate_type(
-                    gid, degenerate_single_input_type(gate.gtype)
+                    gid,
+                    GateType.XNOR if gtype is GateType.XOR else GateType.XOR,
                 )
-                if zero_degenerate_delay:
-                    circuit.set_gate_delay(gid, 0.0)
-                    circuit.set_connection_delay(gate.fanin[0], 0.0)
+        if not gate.fanin:
+            # every input was a noncontrolling constant: output is the
+            # identity-element result of the gate
+            empty = {
+                GateType.AND: 1,
+                GateType.NAND: 0,
+                GateType.OR: 0,
+                GateType.NOR: 1,
+                GateType.XOR: 0,
+                GateType.XNOR: 1,
+            }[gate.gtype]
+            make_constant(gid, empty)
+        elif len(gate.fanin) == 1 and gate.gtype not in (
+            GateType.BUF,
+            GateType.NOT,
+        ):
+            circuit.set_gate_type(
+                gid, degenerate_single_input_type(gate.gtype)
+            )
+            if zero_degenerate_delay:
+                circuit.set_gate_delay(gid, 0.0)
+                circuit.set_connection_delay(gate.fanin[0], 0.0)
     _, swept = sweep(circuit)
     touched |= swept
     touched = {g for g in touched if g in circuit.gates}
@@ -195,7 +215,9 @@ def sweep(
 
     Primary inputs are always kept (the PI interface is part of the
     circuit's identity -- equivalence checks and Table I reporting assume a
-    stable PI list).  With ``collapse_buffers`` every zero-delay BUF is
+    stable PI list).  Dead gates come off a worklist seeded with the
+    fanout-free gates; each removal queues the fanin sources it leaves
+    fanout-free.  With ``collapse_buffers`` every zero-delay BUF is
     bypassed, folding its input-connection delay into each fanout
     connection so all path lengths are preserved exactly.
 
@@ -204,21 +226,29 @@ def sweep(
     """
     removed = 0
     touched: Set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for gid in list(circuit.gates):
-            gate = circuit.gates.get(gid)
-            if gate is None:
-                continue
-            if gate.gtype in (GateType.INPUT, GateType.OUTPUT):
-                continue
-            if not gate.fanout:
-                for cid in gate.fanin:
-                    touched.add(circuit.conns[cid].src)
-                circuit.remove_gate(gid)
-                removed += 1
-                changed = True
+    gates, conns = circuit.gates, circuit.conns
+    keep = (GateType.INPUT, GateType.OUTPUT)
+    # (round, position in gates, gid): the order in which repeated
+    # passes over the gates would remove them
+    heap = [
+        (0, i, gid)
+        for i, (gid, gate) in enumerate(gates.items())
+        if not gate.fanout and gate.gtype not in keep
+    ]
+    position = {gid: i for i, gid in enumerate(gates)} if heap else {}
+    while heap:
+        rnd, i, gid = heapq.heappop(heap)
+        gate = gates.get(gid)
+        if gate is None:
+            continue  # queued twice
+        srcs = [conns[cid].src for cid in gate.fanin]
+        touched.update(srcs)
+        circuit.remove_gate(gid)
+        removed += 1
+        for src in srcs:
+            if not gates[src].fanout and gates[src].gtype not in keep:
+                j = position[src]
+                heapq.heappush(heap, (rnd if j > i else rnd + 1, j, src))
     if collapse_buffers:
         for gid in list(circuit.gates):
             gate = circuit.gates.get(gid)

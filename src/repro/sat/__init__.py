@@ -2,7 +2,13 @@
 
 from .cnf import CNF
 from .solver import Solver, solve_cnf
-from .tseitin import CircuitEncoder, EncodedCircuit, encode_circuit
+from .tseitin import (
+    ActivationCnf,
+    CircuitEncoder,
+    CircuitSolver,
+    EncodedCircuit,
+    encode_circuit,
+)
 from .equivalence import (
     EquivalenceResult,
     assert_equivalent,
@@ -10,8 +16,10 @@ from .equivalence import (
 )
 
 __all__ = [
+    "ActivationCnf",
     "CNF",
     "CircuitEncoder",
+    "CircuitSolver",
     "EncodedCircuit",
     "EquivalenceResult",
     "Solver",

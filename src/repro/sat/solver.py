@@ -6,6 +6,12 @@ phase saving, geometric restarts, and *assumptions* so that one solver
 instance per circuit can answer many incremental queries (each ATPG or
 sensitization query is a solve-under-assumptions call).
 
+Decisions come from a lazy binary heap keyed on (not preferred,
+-activity, index): preferred variables first, then the highest
+activity, then the lowest index -- exactly the variable a linear scan
+over the preferred list and then over every variable picks, so every
+model is the one that scan finds.
+
 This is deliberately self-contained: the reproduction builds every
 substrate from scratch, and the circuits involved (carry-skip adders,
 MCNC-scale benchmarks) are comfortably within reach of a pure-Python CDCL.
@@ -13,6 +19,7 @@ MCNC-scale benchmarks) are comfortably within reach of a pure-Python CDCL.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..counters import count
@@ -39,6 +46,13 @@ class Solver:
         self._var_decay = 0.95
         self._phase: List[bool] = [False]
         self._preferred: List[int] = []
+        # decision heap: (0 if preferred else 1, -activity, var).  An
+        # entry is stale once its activity is not the variable's; every
+        # unassigned variable has a current entry, and _queued marks the
+        # variables that hold one.
+        self._rank: List[int] = [1]
+        self._heap: List[Tuple[int, float, int]] = []
+        self._queued: List[bool] = [False]
         self._ok = True
         if cnf is not None:
             self.add_cnf(cnf)
@@ -55,9 +69,17 @@ class Solver:
             self._reason.append(None)
             self._activity.append(0.0)
             self._phase.append(False)
+            self._rank.append(1)
+            self._queued.append(True)
+            heapq.heappush(self._heap, (1, -0.0, self._num_vars))
 
     def new_var(self) -> int:
         self._ensure_var(self._num_vars + 1)
+        return self._num_vars
+
+    @property
+    def num_vars(self) -> int:
+        """The highest variable allocated so far."""
         return self._num_vars
 
     def add_clause(self, literals: Iterable[int]) -> bool:
@@ -96,6 +118,23 @@ class Solver:
         self._clauses.append(clause)
         self._watch(clause)
         return True
+
+    def fix(self, literals: Iterable[int]) -> bool:
+        """Assert ``literals`` at the root level, propagating once: how
+        incremental callers retire an activation literal and pin the
+        variables only retired clauses mention.  Returns False if the
+        formula is now trivially UNSAT."""
+        assert not self._trail_lim, "fix only at root level"
+        if not self._ok:
+            return False
+        for lit in literals:
+            self._ensure_var(abs(lit))
+            if not self._enqueue(lit, None):
+                self._ok = False
+                return False
+        if self._propagate() is not None:
+            self._ok = False
+        return self._ok
 
     def add_cnf(self, cnf: CNF) -> bool:
         self._ensure_var(cnf.num_vars)
@@ -184,6 +223,7 @@ class Solver:
         """
         self._ensure_var(var)
         self._activity[var] += amount * self._var_inc
+        self._push(var)
 
     def _bump(self, var: int) -> None:
         self._activity[var] += self._var_inc
@@ -191,6 +231,32 @@ class Solver:
             for v in range(1, self._num_vars + 1):
                 self._activity[v] *= 1e-100
             self._var_inc *= 1e-100
+            self._rebuild_heap()
+        else:
+            self._push(var)
+
+    def _push(self, var: int) -> None:
+        """Queue ``var`` under its current key."""
+        self._queued[var] = True
+        heapq.heappush(
+            self._heap, (self._rank[var], -self._activity[var], var)
+        )
+        if len(self._heap) > 4 * self._num_vars + 64:
+            self._rebuild_heap()  # mostly stale entries: shed them
+
+    def _rebuild_heap(self) -> None:
+        """Queue every unassigned variable afresh, dropping every entry
+        (after a rescale, when the preferred set changes, or when stale
+        entries pile up)."""
+        assign, activity, rank = self._assign, self._activity, self._rank
+        queued = self._queued
+        heap = self._heap
+        del heap[:]
+        for var in range(1, self._num_vars + 1):
+            queued[var] = assign[var] == UNASSIGNED
+            if queued[var]:
+                heap.append((rank[var], -activity[var], var))
+        heapq.heapify(heap)
 
     def _analyze(self, conflict: List[int]) -> Tuple[List[int], int]:
         """1UIP analysis: returns (learned clause, backjump level)."""
@@ -240,11 +306,14 @@ class Solver:
         if len(self._trail_lim) <= level:
             return
         limit = self._trail_lim[level]
+        queued = self._queued
         for lit in reversed(self._trail[limit:]):
             var = abs(lit)
             self._phase[var] = self._assign[var] == TRUE
             self._assign[var] = UNASSIGNED
             self._reason[var] = None
+            if not queued[var]:
+                self._push(var)
         del self._trail[limit:]
         del self._trail_lim[level:]
         self._qhead = len(self._trail)
@@ -266,23 +335,24 @@ class Solver:
         self._preferred = sorted(set(variables))
         for var in self._preferred:
             self._ensure_var(var)
+        self._rank = [1] * (self._num_vars + 1)
+        for var in self._preferred:
+            self._rank[var] = 0
+        self._rebuild_heap()
 
     def _decide(self) -> int:
-        best, best_act = 0, -1.0
-        for var in self._preferred:
-            if self._assign[var] == UNASSIGNED:
-                act = self._activity[var]
-                if act > best_act:
-                    best, best_act = var, act
-        if best == 0:
-            for var in range(1, self._num_vars + 1):
-                if self._assign[var] == UNASSIGNED:
-                    act = self._activity[var]
-                    if act > best_act:
-                        best, best_act = var, act
-        if best == 0:
-            return 0
-        return best if self._phase[best] else -best
+        """Pop the best unassigned variable: preferred first, then the
+        highest activity, then the lowest index.  Stale entries and
+        assigned variables are discarded on the way."""
+        heap, assign, activity = self._heap, self._assign, self._activity
+        while heap:
+            _, neg_act, var = heapq.heappop(heap)
+            if neg_act != -activity[var]:
+                continue  # stale: a current entry is still queued
+            self._queued[var] = False
+            if assign[var] == UNASSIGNED:
+                return var if self._phase[var] else -var
+        return 0
 
     def solve(
         self,

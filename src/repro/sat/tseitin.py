@@ -5,24 +5,61 @@ variable to equal the gate function of its fanin variables.  The encoding
 is shared by the equivalence checker, the static sensitization check
 (Definition 4.11 reduces to SAT on the circuit clauses plus unit
 constraints on side-inputs) and SAT-based ATPG.
+
+Two incremental users encode straight into a live :class:`Solver`
+through :class:`ActivationCnf`, which gates every clause under an
+activation literal: the proof engine's faulty cones, and
+:class:`CircuitSolver`, the KMS loop test's one solver per run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from ..counters import count
 from ..network import Circuit, GateType
 from .cnf import CNF
+from .solver import Solver
+
+
+class ActivationCnf:
+    """CNF facade over a live solver that gates every clause.
+
+    ``CircuitEncoder(ActivationCnf(solver, act))`` emits its clauses
+    through the ``new_var`` / ``add_clause`` / ``add_unit`` surface;
+    routing them here appends the negated activation literal, so they
+    hold only under ``solve(assumptions=(act, ...))`` and one root-level
+    ``(-act)`` unit retires them all.  ``clauses`` counts what was
+    emitted.
+    """
+
+    def __init__(self, solver: Solver, act: int) -> None:
+        self.solver = solver
+        self.act = act
+        self.clauses = 0
+
+    def new_var(self) -> int:
+        return self.solver.new_var()
+
+    def add_clause(self, literals: Iterable[int]) -> None:
+        self.clauses += 1
+        self.solver.add_clause(list(literals) + [-self.act])
+
+    def add_unit(self, literal: int) -> None:
+        self.add_clause((literal,))
 
 
 class CircuitEncoder:
-    """Encodes a circuit into a :class:`CNF`, keeping the gid -> var map.
+    """Encodes a circuit into a :class:`CNF` (or an
+    :class:`ActivationCnf`), keeping the gid -> var map.
 
     Multiple circuits may be encoded into one CNF (miters); PIs can be
     shared by passing ``input_vars``.
     """
 
-    def __init__(self, cnf: Optional[CNF] = None) -> None:
+    def __init__(
+        self, cnf: Union[CNF, ActivationCnf, None] = None
+    ) -> None:
         self.cnf = cnf if cnf is not None else CNF()
 
     def encode(
@@ -50,10 +87,12 @@ class CircuitEncoder:
             v = self.cnf.new_var()
             var[gid] = v
             ins = [var[circuit.conns[c].src] for c in gate.fanin]
-            self._constrain(gate.gtype, v, ins)
+            self.constrain(gate.gtype, v, ins)
         return var
 
-    def _constrain(self, gtype: GateType, out: int, ins: List[int]) -> None:
+    def constrain(self, gtype: GateType, out: int, ins: List[int]) -> None:
+        """Emit the clauses making ``out`` the ``gtype`` function of
+        ``ins`` (XOR chains allocate auxiliary variables)."""
         cnf = self.cnf
         if gtype is GateType.INPUT:
             return  # free variable
@@ -127,3 +166,153 @@ class EncodedCircuit:
         """The literal asserting gate ``gid`` carries ``value``."""
         v = self.var[gid]
         return v if value else -v
+
+
+#: :class:`CircuitSolver` rebuilds from the current circuit once its
+#: retired clauses outnumber the live ones by this factor.  Chosen by
+#: measurement on the planted KMS workload: 1 and 8 ran within noise
+#: of 3.
+REBUILD_RATIO = 3
+
+#: gate type plus the ordered fanin source gids: what a definition encodes.
+Signature = Tuple[GateType, Tuple[int, ...]]
+
+
+class CircuitSolver:
+    """One incremental solver that follows a mutating circuit.
+
+    The KMS loop asks its SAT question once per iteration, and each
+    iteration changes only a duplicated chain and a constant cone.  So
+    instead of a fresh Tseitin encoding per question, one solver holds
+    the circuit for a whole run.  Each gate's definition (its Tseitin
+    clauses) sits under its own activation literal, and each query's
+    clauses under a query literal:
+
+    * :meth:`sync` walks the circuit in topological order and diffs
+      every gate's signature (type plus ordered fanin *source* gids)
+      against the one it encoded.  A changed gate is re-encoded on its
+      unchanged output variable under a fresh activation literal, so
+      its fanout's definitions stay valid, and the old literal is
+      retired with the root unit ``(-a)``.  A gate that left the
+      circuit has its definition retired too.  A fresh build allocates
+      the gate variables in the topological order
+      :meth:`CircuitEncoder.encode` uses, which keeps the searches short
+      (insertion order doubled the decisions on ripple-carry adders).
+    * :meth:`query` opens a query: an :class:`ActivationCnf` gating
+      the caller's clauses under a fresh literal ``q``; :meth:`solve`
+      answers it under ``[q]`` plus every live activation literal and
+      then retires ``q``.
+    * Variables that only retired clauses mention -- a query's
+      variables, a retired definition's XOR auxiliaries, a removed
+      gate's output -- are fixed at the root.  Left free, they would
+      keep their activity, later searches could decide them before live
+      variables, and every SAT answer would have to decide them all.
+    * Retired clauses stay in the watch lists, so once they outnumber
+      the live ones by :data:`REBUILD_RATIO` the next :meth:`sync`
+      starts a fresh solver (dropping the learned clauses too).
+
+    Soundness.  Every clause carries an activation or a query literal,
+    only ever assumed and never fixed true; the root units that retire
+    them are their only other occurrences.  Under the assumptions the
+    active clauses are exactly the current circuit's Tseitin encoding
+    plus the current query, and every retired clause is satisfied at the
+    root, so SAT/UNSAT is the from-scratch answer.  Learned clauses stay
+    implied, because the clause database only grows.  A literal ``-a``
+    can never be resolved away (``a`` occurs in no clause) nor dropped
+    as a root-level literal (``a`` is true only at assumption levels),
+    so a learned clause keeps the negated literal of every clause it was
+    derived from -- in particular of a clause mentioning each variable
+    it mentions.  Once every clause mentioning a variable is retired,
+    every clause left that mentions it is satisfied at the root, and
+    fixing the variable is sound.
+    """
+
+    def __init__(self) -> None:
+        self._reset()
+
+    def _reset(self) -> None:
+        self.solver = Solver()
+        #: gid -> its output variable, stable while the gate lives.
+        self.var: Dict[int, int] = {}
+        # gid -> (signature, activation literal or 0, last variable of
+        # the definition): a definition owns the variables act..last
+        self._defs: Dict[int, Tuple[Signature, int, int]] = {}
+        # live activation literal -> its clause count
+        self._live: Dict[int, int] = {}
+        self._live_clauses = 0
+        self._retired_clauses = 0
+        self._query: Optional[ActivationCnf] = None
+
+    def sync(self, circuit: Circuit) -> None:
+        """Bring the encoding up to ``circuit``'s current structure."""
+        if self._retired_clauses > REBUILD_RATIO * self._live_clauses:
+            self._reset()
+        self.solver.reset_to_root()
+        gates, conns, defs = circuit.gates, circuit.conns, self._defs
+        for gid in circuit.topological_order():
+            gate = gates[gid]
+            sig = (
+                gate.gtype,
+                tuple([conns[cid].src for cid in gate.fanin]),
+            )
+            old = defs.get(gid)
+            if old is not None:
+                if old[0] == sig:
+                    continue
+                self._retire(old[1], old[2])
+            self._encode(gid, sig)
+        if len(defs) > len(gates):
+            for gid in [g for g in defs if g not in gates]:
+                _, act, last = defs.pop(gid)
+                self._retire(act, last)
+                self._fix((self.var.pop(gid),))
+
+    def _encode(self, gid: int, sig: Signature) -> None:
+        count("loop_gate_encodings")
+        solver = self.solver
+        out = self.var.get(gid)
+        if out is None:
+            out = self.var[gid] = solver.new_var()
+        gtype, srcs = sig
+        if gtype is GateType.INPUT:
+            self._defs[gid] = (sig, 0, 0)  # a free variable
+            return
+        gated = ActivationCnf(solver, solver.new_var())
+        CircuitEncoder(gated).constrain(
+            gtype, out, [self.var[s] for s in srcs]
+        )
+        self._defs[gid] = (sig, gated.act, solver.num_vars)
+        self._live[gated.act] = gated.clauses
+        self._live_clauses += gated.clauses
+
+    def _retire(self, act: int, last: int) -> None:
+        """Switch a definition off for good: ``(-act)`` plus its
+        auxiliaries fixed."""
+        if not act:
+            return
+        clauses = self._live.pop(act)
+        self._live_clauses -= clauses
+        self._retired_clauses += clauses
+        self._fix(range(act, last + 1))
+
+    def _fix(self, variables: Iterable[int]) -> None:
+        self.solver.fix([-var for var in variables])
+
+    def query(self) -> ActivationCnf:
+        """Open a query over the synced encoding: the returned facade
+        allocates the query's variables and gates its clauses under a
+        fresh query literal until :meth:`solve` retires it."""
+        self._query = ActivationCnf(self.solver, self.solver.new_var())
+        return self._query
+
+    def solve(self) -> bool:
+        """Decide the open query on the current circuit, then retire
+        it."""
+        query, solver = self._query, self.solver
+        assert query is not None, "solve() needs an open query()"
+        sat = solver.solve([query.act] + list(self._live))
+        solver.reset_to_root()
+        self._retired_clauses += query.clauses
+        self._fix(range(query.act, solver.num_vars + 1))
+        self._query = None
+        return bool(sat)

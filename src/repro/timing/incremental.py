@@ -21,9 +21,12 @@ what the loop needs:
      ``reach(dst) |= reach(src) & sideok(c)``; a pattern that reaches an
      OUTPUT marker sensitizes a whole longest path, so it *is* a
      witness and no SAT work is done;
-  2. otherwise **one SAT solve** on the iteration's Tseitin encoding
+  2. otherwise **one SAT solve** over the circuit's Tseitin encoding
      plus one selection variable per critical connection (see
-     :meth:`IncrementalTiming.check_path`).
+     :meth:`IncrementalTiming.check_path`), on one
+     :class:`~repro.sat.CircuitSolver` that lives for the whole run:
+     each solve re-encodes only the gates whose type or fanin sources
+     changed since the last one.
 
 Counter semantics (all deterministic; counted in
 :mod:`repro.counters`, so they reach
@@ -34,7 +37,9 @@ Counter semantics (all deterministic; counted in
   gate per direction);
 * ``viability_checks_prefiltered`` -- loop tests the reach pass
   answered;
-* ``viability_checks_exact`` -- loop tests answered by the SAT solve.
+* ``viability_checks_exact`` -- loop tests answered by the SAT solve;
+* ``loop_gate_encodings`` -- gate definitions the loop solver encoded:
+  every gate at each (re)build, plus each re-encoded gate.
 
 The reach pass answers only "yes", with a witness, and the SAT query is
 exact, so the incremental loop takes the same decisions as the per-path
@@ -49,7 +54,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..counters import count
 from ..network import Circuit, GateType
-from ..sat import CircuitEncoder, Solver
+from ..sat import CircuitSolver
 from .models import AsBuiltDelayModel, DelayModel
 from .sensitize import edge_side_inputs
 from .sta import IncrementalSTA, TimingAnnotation, critical_connections
@@ -89,6 +94,7 @@ class IncrementalTiming:
         self._iteration = 0
         self._sim: Optional[Dict[int, int]] = None
         self._annotation: Optional[TimingAnnotation] = None
+        self._solver: Optional[CircuitSolver] = None
 
     # ------------------------------------------------------------------ #
     # per-iteration lifecycle
@@ -149,6 +155,10 @@ class IncrementalTiming:
         model, so SAT means some longest path qualifies.  Before the
         first :meth:`begin_iteration` there are no patterns, and the
         SAT solve answers alone.
+
+        The encoding lives on one :class:`~repro.sat.CircuitSolver`
+        for the context's lifetime: it is synced to the circuit before
+        each solve, and these clauses form one query, retired after it.
         """
         circuit = self.circuit
         edges = self._critical_edges()
@@ -159,9 +169,12 @@ class IncrementalTiming:
             count("viability_checks_prefiltered")
             return True
         count("viability_checks_exact")
-        encoder = CircuitEncoder()
-        var = encoder.encode(circuit)
-        cnf = encoder.cnf
+        if self._solver is None:
+            self._solver = CircuitSolver()
+        loop = self._solver
+        loop.sync(circuit)
+        var = loop.var
+        cnf = loop.query()
         select = {cid: cnf.new_var() for cid in edges}
         roots = []
         for cid, sides in edges.items():
@@ -176,7 +189,7 @@ class IncrementalTiming:
             for src, value in sides:
                 cnf.add_clause([-s, var[src] if value else -var[src]])
         cnf.add_clause(roots)
-        return Solver(cnf).solve()
+        return loop.solve()
 
     def _critical_edges(self) -> CriticalEdges:
         """Critical connections with their side-input constraints.

@@ -56,3 +56,8 @@ def test_kms_record_work_equals_a_direct_kms_call():
     )
     assert _work(record) == direct.counters
     assert direct.counters["sat_calls"] > 0
+    # csa 4.2's loop asks two exact questions on one run-long solver
+    assert direct.counters["viability_checks_exact"] == 2
+    assert 0 < direct.counters["loop_gate_encodings"] < 2 * len(
+        carry_skip_adder(4, 2).gates
+    )

@@ -109,6 +109,33 @@ def test_check_path_sat_solve_answers_when_reach_pass_misses(
     assert window.delta()["viability_checks_exact"] == 1
 
 
+def test_loop_gate_encodings_moves_on_check_mutate_check():
+    """The run-long loop solver encodes every gate once on its first
+    solve, then only the gates whose type or fanin sources changed."""
+    circuit = carry_skip_adder(4, 2)
+    timing = IncrementalTiming(circuit, MODEL)  # SAT-only: no patterns
+    window = Window()
+    assert timing.check_path() is False
+    assert window.delta()["loop_gate_encodings"] == len(circuit.gates)
+    # tie one gate's pin off: the constant is new and the gate changed
+    gid = next(
+        g for g, gate in circuit.gates.items()
+        if len(gate.fanin) > 1 and gate.fanout
+    )
+    _, touched = set_connection_constant(
+        circuit, circuit.gates[gid].fanin[0], 1
+    )
+    timing.refresh(touched)
+    window = Window()
+    timing.check_path()
+    assert window.delta()["loop_gate_encodings"] == 2
+    # an unchanged circuit encodes nothing
+    window = Window()
+    timing.check_path()
+    assert window.delta()["loop_gate_encodings"] == 0
+    assert window.delta()["viability_checks_exact"] == 1
+
+
 # ---------------------------------------------------------------------- #
 # backward-seed tightening (PR 10)
 # ---------------------------------------------------------------------- #

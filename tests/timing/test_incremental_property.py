@@ -14,7 +14,11 @@ Three layers of agreement over randomized inputs:
 * **the loop test** -- before and after every mutation,
   :meth:`IncrementalTiming.check_path`'s one question must equal the
   per-path reference: some longest path passes the from-scratch
-  sensitization (static) / viability checker.
+  sensitization (static) / viability checker.  A long-lived SAT-only
+  context (it never simulates patterns, so every question reaches its
+  run-long :class:`~repro.sat.CircuitSolver`) must keep agreeing over
+  mutation sequences of 30 and more steps, re-sourcings and retypes
+  included, through the solver's rebuilds.
 * **KMS outputs** -- ``kms(..., incremental=True)`` and the per-path
   reference take the same steps (event sequences) and produce
   bit-identical final circuits (same content fingerprint) and
@@ -46,7 +50,7 @@ from repro.network.transform import (
     set_connection_constant,
     sweep,
 )
-from repro.sat import check_equivalence
+from repro.sat import CircuitSolver, check_equivalence
 from repro.timing import (
     AsBuiltDelayModel,
     FanoutDelayModel,
@@ -230,6 +234,14 @@ def test_incremental_sta_tracks_full_recompute(model, case):
             _assert_matches_oracle(sta, circuit, model)
 
 
+def _per_path_reference(circuit, model, mode):
+    if mode == "viability":
+        exact = ViabilityChecker(circuit, model).is_viable
+    else:
+        exact = SensitizationChecker(circuit).is_sensitizable
+    return any(exact(path) for path in longest_paths(circuit, model))
+
+
 def _assert_loop_test_matches_reference(timing, circuit, model, mode):
     """The loop's answer, and the SAT solve's alone (a fresh context
     has simulated no patterns, so its reach pass cannot answer), both
@@ -237,11 +249,7 @@ def _assert_loop_test_matches_reference(timing, circuit, model, mode):
     timing.begin_iteration()
     if timing.annotation().delay <= 0:
         return  # the KMS loop exits before asking
-    if mode == "viability":
-        exact = ViabilityChecker(circuit, model).is_viable
-    else:
-        exact = SensitizationChecker(circuit).is_sensitizable
-    expected = any(exact(path) for path in longest_paths(circuit, model))
+    expected = _per_path_reference(circuit, model, mode)
     assert timing.check_path() == expected
     sat_only = IncrementalTiming(circuit, model, mode=mode)
     window = Window()
@@ -265,6 +273,121 @@ def test_check_path_matches_per_path_reference(mode, model, case):
             _assert_loop_test_matches_reference(
                 timing, circuit, model, mode
             )
+
+
+def _mutate_resource(circuit, model, rng):
+    """Re-source a random connection onto another gate outside its
+    destination's fanout: the fanin list keeps its connection ids, only
+    a source changes (as ``move_connection_source`` does in the KMS
+    duplication and in buffer collapsing), and the function changes."""
+    cids = list(circuit.conns)
+    if not cids:
+        return None
+    cid = rng.choice(cids)
+    conn = circuit.conns[cid]
+    downstream = circuit.transitive_fanout([conn.dst])
+    sources = [
+        gid
+        for gid, gate in circuit.gates.items()
+        if gid not in downstream
+        and gid != conn.src
+        and gate.gtype is not GateType.OUTPUT
+    ]
+    if not sources:
+        return None
+    old = conn.src
+    new = rng.choice(sources)
+    circuit.move_connection_source(cid, new)
+    return {old, new, conn.dst}
+
+
+_RETYPES = [GateType.AND, GateType.OR, GateType.NAND, GateType.NOR]
+
+
+def _mutate_retype(circuit, model, rng):
+    """Flip a multi-input gate between AND/OR/NAND/NOR in place."""
+    gates = [
+        gid
+        for gid, gate in circuit.gates.items()
+        if gate.gtype in _RETYPES and len(gate.fanin) > 1
+    ]
+    if not gates:
+        return None
+    gid = rng.choice(gates)
+    circuit.set_gate_type(
+        gid,
+        rng.choice([t for t in _RETYPES if t is not circuit.gates[gid].gtype]),
+    )
+    return {gid}
+
+
+#: the long-sequence mix: mostly edits that keep a circuit alive
+LONG_MUTATIONS = [
+    _mutate_constant,
+    _mutate_sweep,
+    _mutate_duplicate,
+    _mutate_duplicate,
+    _mutate_arrival,
+    _mutate_resource,
+    _mutate_resource,
+    _mutate_retype,
+    _mutate_retype,
+]
+
+#: steps per long mutation sequence
+LONG_STEPS = 32
+
+
+def _long_subject(rng, index):
+    if index % 2:
+        return random_redundant_circuit(
+            num_inputs=rng.randint(4, 7),
+            num_gates=rng.randint(15, 30),
+            seed=rng.randint(0, 10**6),
+        )
+    return random_circuit(
+        num_inputs=rng.randint(4, 7),
+        num_gates=rng.randint(20, 40),
+        num_outputs=rng.randint(2, 4),
+        seed=rng.randint(0, 10**6),
+        max_arrival=rng.choice([0.0, 3.0]),
+    )
+
+
+@_over_modes_and_models(range(4))
+def test_run_long_loop_solver_matches_per_path_reference(
+    mode, model, case, monkeypatch
+):
+    """One SAT-only context per circuit answers every question of a
+    32-step mutation sequence on its one run-long solver."""
+    builds = []
+    reset = CircuitSolver._reset
+
+    def counting_reset(self):
+        builds.append(self)
+        reset(self)
+
+    monkeypatch.setattr(CircuitSolver, "_reset", counting_reset)
+    rng = random.Random(4000 + case)
+    asked = 0
+    for index in range(3):
+        circuit = _long_subject(rng, index)
+        timing = IncrementalTiming(circuit, model, mode=mode)
+        for _step in range(LONG_STEPS):
+            if timing.annotation().delay > 0:
+                window = Window()
+                assert timing.check_path() == _per_path_reference(
+                    circuit, model, mode
+                )
+                assert window.delta()["viability_checks_exact"] == 1
+                asked += 1
+            mutate = rng.choice(LONG_MUTATIONS)
+            touched = mutate(circuit, model, rng)
+            if touched is not None:
+                timing.refresh(touched)
+    assert asked >= 2 * LONG_STEPS
+    # the solvers outlived their first encoding at least once
+    assert len(builds) > len(set(map(id, builds)))
 
 
 def _steps(result):
