@@ -9,6 +9,8 @@ payload*, not here:
 * every bench row names a workload and carries, under the payload's
   ``result_key``, a ``counters`` dict of *deterministic* work counters
   plus informational ``seconds``;
+* a baseline that does not declare ``result_key`` and
+  ``gated_counters`` fails the gate: regenerate it from its bench;
 * each gated counter (payload ``gated_counters``) may grow by at most
   ``tolerance`` (relative) plus an absolute slack of 2 for near-zero
   counts;
@@ -37,27 +39,14 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List
 
 #: Absolute slack so a 1 -> 2 jump on a tiny counter is not a "100%
 #: regression"; real regressions move the big counters by far more.
 ABSOLUTE_SLACK = 2
 
-#: Fallbacks for baselines predating the self-describing payload format
-#: (every committed baseline now carries ``result_key`` and
-#: ``gated_counters``, so these only matter for stale local files).
-DEFAULT_RESULT_KEY = "incremental"
-DEFAULT_GATED = [
-    "faults_requalified",
-    "verdicts_carried",
-    "witness_drops",
-    "sat_proofs",
-    "tseitin_builds",
-    "podem_calls",
-]
-DEFAULT_IDENTICAL_MESSAGE = (
-    "result no longer matches its from-scratch oracle"
-)
+#: The keys that make a baseline payload self-describing.
+BASELINE_KEYS = ("result_key", "gated_counters")
 
 
 def load_rows(path):
@@ -81,21 +70,19 @@ def write_summary(lines: List[str]) -> None:
 
 
 def compare(
-    current_path: str,
-    baseline_path: str,
-    tolerance: float = 0.10,
-    result_key: str = DEFAULT_RESULT_KEY,
-    default_gated: Optional[List[str]] = None,
-    identical_message: str = DEFAULT_IDENTICAL_MESSAGE,
+    current_path: str, baseline_path: str, tolerance: float = 0.10
 ) -> int:
     """Run the gate; returns a process exit status (0 pass, 1 fail)."""
-    current_data, current = load_rows(current_path)
+    _, current = load_rows(current_path)
     baseline_data, baseline = load_rows(baseline_path)
-    result_key = baseline_data.get("result_key", result_key)
-    gated = baseline_data.get(
-        "gated_counters",
-        default_gated if default_gated is not None else DEFAULT_GATED,
-    )
+    missing = [key for key in BASELINE_KEYS if key not in baseline_data]
+    if missing:
+        print(f"FAIL: {baseline_path} declares no "
+              f"{' or '.join(missing)}; regenerate it from its bench",
+              file=sys.stderr)
+        return 1
+    result_key = baseline_data["result_key"]
+    gated = baseline_data["gated_counters"]
 
     suite = baseline_data.get("suite", os.path.basename(current_path))
     table = [
@@ -113,7 +100,9 @@ def compare(
             table.append(f"| {name} | — | — | — | missing ❌ |")
             continue
         if not cur_row.get("identical", False):
-            failures.append(f"{name}: {identical_message}")
+            failures.append(
+                f"{name}: result no longer matches its from-scratch oracle"
+            )
             table.append(
                 f"| {name} | identical | true | false | diverged ❌ |"
             )
@@ -177,16 +166,8 @@ def compare(
     return 0
 
 
-def main(
-    argv=None,
-    description: Optional[str] = None,
-    result_key: str = DEFAULT_RESULT_KEY,
-    default_gated: Optional[List[str]] = None,
-    identical_message: str = DEFAULT_IDENTICAL_MESSAGE,
-) -> int:
-    parser = argparse.ArgumentParser(
-        description=description or __doc__.splitlines()[0]
-    )
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("current", help="freshly produced bench json")
     parser.add_argument("baseline", help="committed baseline json")
     parser.add_argument(
@@ -194,14 +175,7 @@ def main(
         help="allowed relative counter growth (default 0.10 = 10%%)",
     )
     args = parser.parse_args(argv)
-    return compare(
-        args.current,
-        args.baseline,
-        tolerance=args.tolerance,
-        result_key=result_key,
-        default_gated=default_gated,
-        identical_message=identical_message,
-    )
+    return compare(args.current, args.baseline, tolerance=args.tolerance)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@ removal.
 
 Per circuit, ``remove_redundancies`` runs twice -- ``incremental=True``
 (the persistent :class:`repro.atpg.proofengine.ProofEngine`: an
-adaptively grown random pool, then one assumption-gated epoch SAT
-solver for every survivor, verdict carry-over across removals, witness
-feedback through the compiled kernel) and ``incremental=False`` (the
+adaptively grown random pool kept across removals, then one
+assumption-gated epoch SAT solver for every survivor, witness feedback
+through the compiled kernel) and ``incremental=False`` (the
 from-scratch oracle: 64 random vectors, PODEM, SAT for PODEM aborts).
 The claims under test:
 
@@ -40,8 +40,8 @@ from repro.circuits import (
 from repro.engine.hashing import circuit_fingerprint
 
 #: Counters whose totals the CI perf gate protects against regression
-#: (work counters only: carry-over and witness-drop counts *growing*
-#: would be an improvement, so they ride along ungated).
+#: (work counters only: witness-drop counts *growing* would be an
+#: improvement, so they ride along ungated).
 GATED_COUNTERS = (
     "faults_requalified",
     "random_words",
@@ -66,8 +66,8 @@ IDENTITY_ROWS = [
 ]
 
 #: SAT-funnel stress rows: a one-vector random prefilter leaves every
-#: testable suspect to the complete provers, which is where verdict
-#: carry-over and witness feedback pay off.
+#: testable suspect to the complete provers, which is where the grown
+#: pool and witness feedback pay off.
 SATFUNNEL_ROWS = [
     ("csa 4.2 satfunnel", lambda: carry_skip_adder(4, 2)),
     ("csa 8.2 satfunnel", lambda: carry_skip_adder(8, 2)),

@@ -62,23 +62,6 @@ def conn_fault(cid: int, value: int) -> Fault:
     return Fault(CONN, cid, value)
 
 
-def anchor_gate(circuit: Circuit, fault: Fault) -> "int | None":
-    """The gate from which the fault's fanout cone grows, or ``None``
-    when the site no longer exists in the circuit.
-
-    For a stem fault the anchor is the faulty gate itself; for a
-    connection fault it is the consuming gate (the stuck value enters
-    the circuit at that gate's input pin).  The proof engine uses the
-    anchor for cone-limited verdict invalidation: a cached verdict stays
-    valid exactly while ``anchor_gate`` is outside the fanin closure of
-    the fanout cone of the touched-gate set.
-    """
-    if fault.kind == CONN:
-        conn = circuit.conns.get(fault.site)
-        return conn.dst if conn is not None else None
-    return fault.site if fault.site in circuit.gates else None
-
-
 def all_faults(circuit: Circuit) -> List[Fault]:
     """The uncollapsed fault list: both stuck values on every gate output
     stem (PIs included) and on every connection.

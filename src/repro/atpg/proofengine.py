@@ -7,9 +7,9 @@ over on a circuit that changes only a little between questions.  The
 from-scratch funnel in :mod:`repro.atpg.redundancy` restarts completely
 each time: re-enumerate the fault universe, re-roll the same random
 vectors, re-run PODEM on every suspect, rebuild a full Tseitin CNF per
-SAT proof.  This engine keeps all of that state alive across removals
+SAT proof.  This engine keeps its vector pool alive across removals
 and answers simulation first, in the style of Teslenko--Dubrova's
-cone-limited redundancy removal:
+simulation-first redundancy removal:
 
 * **Adaptive random pool.**  Bit-parallel random simulation through
   the compiled kernel discharges every fault it can.  The pool is one
@@ -28,13 +28,12 @@ cone-limited redundancy removal:
   ``solve(assumptions=(act,))``.  Retired queries are disabled with a
   root-level ``(-act)`` unit.
 
-* **Verdict carry-over.**  A fault's testability is a function of the
-  fanin closure of its fanout cone (the gates that can excite it plus
-  everything its effect can reach and every side signal feeding that
-  region).  After :func:`repro.atpg.redundancy.remove_fault` reports its
-  touched-gate set (the transform contract), only faults whose
-  anchor gate lies inside ``fanin*(fanout*(touched))`` are
-  re-qualified; every other verdict carries over to the next epoch.
+* **One circuit version.**  Verdicts, like the epoch solver, hold for
+  one :attr:`Circuit.version`.  The first query after the version
+  moves drops both, so its epoch grades the whole universe against the
+  pool.  A fault a removal left alone is still detected by the pool
+  vector that detected it before, so re-grading it costs simulation,
+  never a SAT proof.
 
 * **Witness feedback.**  Every SAT model is completed to a full vector,
   pushed through the compiled kernel's event-driven fault grading to
@@ -63,13 +62,12 @@ of the ``perf-gate`` CI job.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..counters import count
 from ..network import Circuit
 from ..sat import ActivationCnf, CircuitEncoder, Solver
-from ..sim.kernel import refresh_compiled
-from .faults import CONN, Fault, anchor_gate, collapsed_faults
+from .faults import CONN, Fault, collapsed_faults
 from .faultsim import (
     PackedCorpus,
     VectorsArg,
@@ -89,7 +87,6 @@ WORD = 64
 #: the order ``repro atpg`` prints them.
 PROOF_COUNTERS = (
     "faults_requalified",
-    "verdicts_carried",
     "witness_drops",
     "cnf_reuses",
     "sat_proofs",
@@ -101,10 +98,9 @@ PROOF_COUNTERS = (
 class ProofEngine:
     """Incremental redundancy-proof engine bound to one live circuit.
 
-    The circuit may mutate between queries as long as every mutation is
-    reported through :meth:`invalidate` (or performed via
-    :meth:`remove`, which wraps :func:`~repro.atpg.redundancy.remove_fault`
-    and invalidates from its touched-gate set).
+    The circuit may mutate between queries: verdicts and the epoch
+    solver are keyed to :attr:`Circuit.version`, so the first query
+    after any mutation starts over from the vector pool.
 
     Args:
         circuit: the live circuit (mutated in place by :meth:`remove`).
@@ -125,52 +121,24 @@ class ProofEngine:
         self, circuit: Circuit, patterns: int = 64, seed: int = 7
     ) -> None:
         self.circuit = circuit
-        self._verdicts: Dict[Fault, str] = {}
         self._rng = random.Random(seed)
         self.vectors = draw_vectors(circuit, self._rng, patterns)
         # hoisted packing of the vector pool, rebuilt when the pool
         # grows or the circuit's PI set changes (see PackedCorpus)
         self._corpus: Optional[PackedCorpus] = None
-        # epoch solver state (rebuilt when the circuit version moves)
+        # the verdicts and the epoch solver hold for one circuit version
+        self._version = circuit.version
+        self._verdicts: Dict[Fault, str] = {}
         self._solver: Optional[Solver] = None
         self._good_var: Dict[int, int] = {}
         self._true_lit = 0
-        self._solver_version: Optional[int] = None
 
-    # ------------------------------------------------------------------ #
-    # invalidation
-    # ------------------------------------------------------------------ #
-
-    def invalidate(self, touched: Iterable[int]) -> int:
-        """Evict verdicts whose validity region intersects ``touched``.
-
-        A verdict for fault ``f`` depends exactly on the fanin closure
-        of the fanout cone of its anchor gate; that region intersects
-        the touched set iff the anchor lies in
-        ``fanin*(fanout*(touched))``.  Returns the number of evictions.
-        """
-        present = {g for g in touched if g in self.circuit.gates}
-        dirty = self.circuit.transitive_fanin(
-            self.circuit.transitive_fanout(present)
-        )
-        evicted = 0
-        for fault in list(self._verdicts):
-            anchor = anchor_gate(self.circuit, fault)
-            if anchor is None or anchor in dirty:
-                del self._verdicts[fault]
-                evicted += 1
-        return evicted
-
-    def remove(self, fault: Fault) -> Set[int]:
-        """Remove an untestable fault in place and invalidate from the
-        transforms' touched-gate union (also refreshing any attached
-        compiled simulation kernel incrementally)."""
+    def remove(self, fault: Fault) -> None:
+        """Remove an untestable fault in place
+        (:func:`~repro.atpg.redundancy.remove_fault`)."""
         from .redundancy import remove_fault
 
-        touched = remove_fault(self.circuit, fault)
-        refresh_compiled(self.circuit, touched)
-        self.invalidate(touched)
-        return touched
+        remove_fault(self.circuit, fault)
 
     # ------------------------------------------------------------------ #
     # simulation
@@ -179,16 +147,20 @@ class ProofEngine:
     def _prepare_epoch(
         self, faults: Optional[Sequence[Fault]]
     ) -> List[Fault]:
-        """Start an epoch: enumerate the universe, carry cached
-        verdicts, grade the rest against the vector pool, and grow the
+        """Start an epoch: drop the verdicts and the epoch solver if
+        the circuit version moved, enumerate the universe, grade the
+        faults without a verdict against the vector pool, and grow the
         pool one word at a time until a word detects no survivor."""
+        if self._version != self.circuit.version:
+            self._version = self.circuit.version
+            self._verdicts.clear()
+            self._solver = None
         universe = (
             list(faults)
             if faults is not None
             else collapsed_faults(self.circuit)
         )
         pending = [f for f in universe if f not in self._verdicts]
-        count("verdicts_carried", len(universe) - len(pending))
         count("faults_requalified", len(pending))
         if pending and self.vectors:
             pending = self._grade(pending, self._vector_corpus())
@@ -250,10 +222,7 @@ class ProofEngine:
     def _epoch_solver(self) -> Solver:
         """The shared incremental solver for the current circuit
         version, building the good-circuit Tseitin once per epoch."""
-        if (
-            self._solver is not None
-            and self._solver_version == self.circuit.version
-        ):
+        if self._solver is not None:
             count("cnf_reuses")
             return self._solver
         encoder = CircuitEncoder()
@@ -263,7 +232,6 @@ class ProofEngine:
         self._true_lit = solver.new_var()
         solver.add_clause((self._true_lit,))
         self._solver = solver
-        self._solver_version = self.circuit.version
         return solver
 
     def _sat_qualify(self, fault: Fault, universe: Sequence[Fault]) -> str:

@@ -18,8 +18,8 @@ collapsed order at every step:
 * ``incremental=True`` (default): the persistent
   :class:`repro.atpg.proofengine.ProofEngine` -- simulate, then SAT.
   It grows a random pool until a word stops detecting anything, sends
-  every survivor to one assumption-gated SAT solver per epoch, carries
-  verdicts across removals, and feeds every witness back into the pool.
+  every survivor to one assumption-gated SAT solver per epoch (one
+  circuit version), and feeds every witness back into the pool.
 * ``incremental=False``: the from-scratch oracle
   (:func:`scratch_redundant_faults`), kept as the test reference.  It
   settles the 64-vector survivors with PODEM and hands each PODEM abort
@@ -38,7 +38,7 @@ the adversary of the proof engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..counters import Window, count
 from ..network import Circuit, GateType
@@ -81,35 +81,25 @@ class RemovalResult:
         return len(self.steps)
 
 
-def remove_fault(circuit: Circuit, fault: Fault) -> Set[int]:
+def remove_fault(circuit: Circuit, fault: Fault) -> None:
     """Tie the fault site to its stuck value and simplify, in place.
 
     Sound only for *untestable* faults (the caller is responsible for
-    the redundancy proof).  Returns the union of the transforms'
-    touched-gate sets (the PR-3 contract in
-    :mod:`repro.network.transform`) so incremental consumers -- the
-    proof engine's verdict cache, the compiled simulation kernel -- can
-    invalidate cone-locally instead of from scratch.
+    the redundancy proof).  The edits move :attr:`Circuit.version`,
+    which is all the proof engine and the compiled simulation kernel
+    watch.
     """
-    touched: Set[int] = set()
     if fault.kind == CONN:
-        _, const_touched = set_connection_constant(
-            circuit, fault.site, fault.value
-        )
-        touched |= const_touched
+        set_connection_constant(circuit, fault.site, fault.value)
     else:
         gate = circuit.gates[fault.site]
         const = circuit.add_gate(
             GateType.CONST1 if fault.value else GateType.CONST0, 0.0
         )
-        touched.add(const)
-        touched.add(fault.site)
         for cid in list(gate.fanout):
-            touched.add(circuit.conns[cid].dst)
             circuit.move_connection_source(cid, const)
-    touched |= propagate_constants(circuit)[1]
-    touched |= sweep(circuit, collapse_buffers=True)[1]
-    return touched
+    propagate_constants(circuit)
+    sweep(circuit, collapse_buffers=True)
 
 
 def scratch_redundant_faults(
@@ -178,11 +168,13 @@ def remove_redundancies(
     there) and ``backtrack_limit`` are.  ``backtrack_limit`` is the
     oracle's PODEM budget per fault (the funnel's classic 100) and feeds
     only the oracle: the proof engine runs no PODEM.
+
+    Raises :class:`RuntimeError` when the circuit is still redundant
+    after ``max_iterations`` removals.
     """
     window = Window()
     work = circuit.copy(f"{circuit.name}#irr")
-    # Removal mutates `work` heavily (one remove + kernel refresh +
-    # proof-region invalidation per redundancy); the arena keeps the
+    # Removal mutates `work` once per redundancy; the arena keeps the
     # flat simulation/fingerprint/cone state fresh in place across all
     # of it.  REPRO_NET_LEGACY=1 keeps the object-graph path verbatim.
     from ..net import attach_arena, net_enabled
@@ -195,7 +187,7 @@ def remove_redundancies(
         from .proofengine import ProofEngine
 
         engine = ProofEngine(work, patterns=patterns)
-    for _ in range(max_iterations):
+    while True:
         if engine is not None:
             fault = engine.next_redundant()
         else:
@@ -207,6 +199,8 @@ def remove_redundancies(
             )
         if fault is None:
             break
+        if len(steps) >= max_iterations:
+            raise RuntimeError("redundancy removal did not converge")
         before = work.num_gates()
         description = fault.describe(work)
         if engine is not None:
@@ -221,8 +215,6 @@ def remove_redundancies(
                 gates_after=work.num_gates(),
             )
         )
-    else:
-        raise RuntimeError("redundancy removal did not converge")
     return RemovalResult(circuit=work, steps=steps, counters=window.delta())
 
 

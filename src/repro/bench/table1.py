@@ -39,6 +39,7 @@ from ..timing import (
     sensitizable_delay,
     topological_delay,
 )
+from ..timing.models import EPS
 
 #: The paper's four carry-skip configurations (bits, block size).
 CSA_SIZES: List[Tuple[int, int]] = [(2, 2), (4, 4), (8, 2), (8, 4)]
@@ -181,7 +182,7 @@ def classify_longest_paths(
     model = model if model is not None else UnitDelayModel()
     topo = topological_delay(circuit, model)
     sens = sensitizable_delay(circuit, model).delay
-    return "class1" if sens < topo - 1e-9 else "class2"
+    return "class1" if sens < topo - EPS else "class2"
 
 
 def render(rows: Iterable[Table1Row], title: str) -> str:

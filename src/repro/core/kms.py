@@ -219,7 +219,7 @@ def kms(
 
     # Fig. 3's final line: remove remaining redundancies in any order.
     # The same incremental switch drives the cleanup's proof engine
-    # (persistent verdicts, shared epoch solver) vs the test reference.
+    # (persistent vector pool, shared epoch solver) vs the test reference.
     from ..atpg.redundancy import remove_redundancies
 
     cleanup = remove_redundancies(work, incremental=incremental)
@@ -361,5 +361,5 @@ def _check_invariants(original, work, model, baseline) -> None:
             f"differs under {result.counterexample!r}"
         )
     via = viability_delay(work, model).delay
-    if via > baseline + 1e-9:
+    if via > baseline + EPS:
         raise KmsError(f"viability delay increased: {baseline} -> {via}")

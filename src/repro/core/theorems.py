@@ -37,6 +37,7 @@ from ..timing import (
     Path,
     statically_sensitizable,
 )
+from ..timing.models import EPS
 
 
 @dataclass
@@ -113,7 +114,7 @@ def set_path_constant(
 
         model_ = model if model is not None else AsBuiltDelayModel()
         delay = topological_delay(circuit, model_)
-        if path.length < delay - 1e-9:
+        if path.length < delay - EPS:
             raise CircuitError(
                 f"Theorem 7.2 requires a longest path "
                 f"({path.length} < {delay})"

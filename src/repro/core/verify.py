@@ -26,6 +26,7 @@ from ..timing import (
     topological_delay,
     viability_delay,
 )
+from ..timing.models import EPS
 
 
 @dataclass
@@ -73,7 +74,7 @@ class VerificationReport:
     @property
     def delay_preserved(self) -> bool:
         """The paper's guarantee: viability delay did not increase."""
-        return self.delays_after.viability <= self.delays_before.viability + 1e-9
+        return self.delays_after.viability <= self.delays_before.viability + EPS
 
     @property
     def ok(self) -> bool:

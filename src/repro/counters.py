@@ -69,8 +69,10 @@ GLOSSARY: Dict[str, str] = {
         "each (re)build, plus each gate re-encoded after a change"
     ),
     # repro.atpg.proofengine
-    "faults_requalified": "faults entering an epoch without a cached verdict",
-    "verdicts_carried": "faults served from the verdict cache",
+    "faults_requalified": (
+        "faults an epoch grades for lack of a verdict on the current "
+        "circuit version"
+    ),
     "witness_drops": "unresolved faults settled by replaying a SAT witness",
     "cnf_reuses": "epoch-solver reuses on an unchanged circuit version",
     "sat_proofs": "SAT qualifications of random-pool survivors",

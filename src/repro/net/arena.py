@@ -58,14 +58,14 @@ row of the CI perf-gate matrix against
 * ``arena_compactions``       -- free-list GC compactions run;
 * ``array_ops_inplace``       -- in-place array mutations applied by
   the hooks (the transforms' work, measured on the arrays);
-* ``compile_rebuilds_avoided``-- consumer refreshes served by the
+* ``compile_rebuilds_avoided``-- stale-kernel uses served by the
   maintained arrays where the legacy path would have recompiled its
   schedule from the object graph;
 * ``fingerprint_rehashes``    -- per-gate Merkle digest recomputations.
 
 The legacy object-graph path is kept verbatim everywhere: set
 ``REPRO_NET_LEGACY=1`` and no arena is attached, so every consumer
-falls back to the PR-4 rebuild-on-refresh behavior -- the A/B oracle
+falls back to recompiling the kernel when it is stale -- the A/B oracle
 ``benchmarks/test_net_arena.py`` holds bit-identical on every decision.
 """
 

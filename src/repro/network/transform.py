@@ -19,14 +19,17 @@ Touched-gate sets
 
 The KMS building blocks (:func:`set_connection_constant`,
 :func:`propagate_constants`, :func:`duplicate_chain`, :func:`sweep`)
-additionally return the set of *touched* gates, the contract the
-incremental timing engine (:class:`repro.timing.sta.IncrementalSTA`)
-consumes.  A gid is touched when the gate still exists in the circuit
-and it was newly created, its fanin (pins, sources, or connection/gate
-delays) changed, or its fanout set changed.  Gates that were *removed*
-are never listed; consumers reconcile against ``circuit.gates`` (a
-removed gate's neighbours always appear in the touched set, so every
-surviving gate whose timing could have moved is covered).
+additionally return the set of *touched* gates, the contract the KMS
+loop's incremental timing engine
+(:class:`repro.timing.sta.IncrementalSTA`) consumes.  It is the only
+consumer: the compiled simulation kernel and the proof engine watch
+:attr:`Circuit.version` instead.  A gid is touched when the gate still
+exists in the circuit and it was newly created, its fanin (pins,
+sources, or connection/gate delays) changed, or its fanout set changed.
+Gates that were *removed* are never listed; the consumer reconciles
+against ``circuit.gates`` (a removed gate's neighbours always appear in
+the touched set, so every surviving gate whose timing could have moved
+is covered).
 """
 
 from __future__ import annotations

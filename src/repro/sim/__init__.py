@@ -23,7 +23,6 @@ from .kernel import (
     ArenaCompiledCircuit,
     CompiledCircuit,
     get_compiled,
-    refresh_compiled,
 )
 from .dcalc import D, DBAR, ONE, XX, ZERO, eval_gate5, is_d_or_dbar, simulate5
 from .events import (
@@ -43,7 +42,6 @@ __all__ = [
     "X",
     "ZERO",
     "get_compiled",
-    "refresh_compiled",
     "eval_gate3",
     "eval_gate5",
     "eval_gate_bits",

@@ -10,10 +10,7 @@ into a flat levelized schedule and makes both costs go away:
   topological order, integer opcodes, fanin source *positions* -- built
   once and reused across calls.  Staleness is detected with one integer
   compare against :attr:`Circuit.version` (every structural mutation
-  bumps it), and consumers holding touched-gate sets from
-  :mod:`repro.network.transform` can call :meth:`CompiledCircuit.refresh`
-  explicitly (the PR-3 contract: a non-empty touched set means the
-  schedule may have changed, so the kernel recompiles).
+  and every retype bumps it), and the next use recompiles.
 
 * a pattern block is one arbitrary-precision Python int per gate (bit
   *i* is the gate's value under pattern *i*), so one bitwise op per
@@ -46,7 +43,7 @@ compare against it take ``compiled=False`` to run it.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..counters import count
 from ..network import Circuit, GateType
@@ -86,14 +83,13 @@ class CompiledCircuit:
     Parallel lists indexed by *position* (rank in topological order):
     ``ops[i]`` is the integer opcode, ``fanin_pos[i]`` the positions of
     the gate's fanin sources in pin order, ``fanout_pos[i]`` the sorted
-    positions it feeds, ``level[i]`` the levelization depth.  ``order``
-    maps position -> gid and ``pos`` the inverse; ``conn_pin`` maps each
-    connection id to its ``(dst position, pin index)`` so connection
-    faults inject without touching the ``Circuit`` object.
+    positions it feeds.  ``order`` maps position -> gid and ``pos`` the
+    inverse; ``conn_pin`` maps each connection id to its
+    ``(dst position, pin index)`` so connection faults inject without
+    touching the ``Circuit`` object.
 
     The kernel records :attr:`Circuit.version` at compile time and
-    recompiles lazily whenever the circuit has mutated since; callers
-    holding touched-gate sets may also call :meth:`refresh` explicitly.
+    recompiles lazily whenever the circuit has mutated since.
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -114,7 +110,6 @@ class CompiledCircuit:
         ops: List[int] = [0] * n
         fanin_pos: List[Tuple[int, ...]] = [()] * n
         fanout_pos: List[Tuple[int, ...]] = [()] * n
-        level: List[int] = [0] * n
         conn_pin: Dict[int, Tuple[int, int]] = {}
         conns = circuit.conns
         for i, gid in enumerate(order):
@@ -127,13 +122,10 @@ class CompiledCircuit:
             fanout_pos[i] = tuple(
                 sorted({pos[conns[cid].dst] for cid in gate.fanout})
             )
-            level[i] = 1 + max((level[s] for s in srcs), default=-1)
         self.ops = ops
         self.fanin_pos = fanin_pos
         self.fanout_pos = fanout_pos
-        self.level = level
         self.conn_pin = conn_pin
-        self.num_levels = 1 + max(level, default=0)
         self.pi_pos = [pos[g] for g in circuit.inputs]
         self.po_pos = [pos[g] for g in circuit.outputs]
         self._po_pos_set = set(self.po_pos)
@@ -144,18 +136,6 @@ class CompiledCircuit:
     def stale(self) -> bool:
         """Has the circuit mutated since this schedule was built?"""
         return self.version != self.circuit.version
-
-    def refresh(self, touched: Optional[Iterable[int]] = None) -> bool:
-        """Invalidate per the touched-gate-set contract.
-
-        A non-empty ``touched`` set (or any structural mutation since
-        compile) recompiles the schedule; an empty set on an unchanged
-        circuit is a no-op.  Returns True when a recompile happened.
-        """
-        if self.stale or (touched is not None and any(True for _ in touched)):
-            self._compile()
-            return True
-        return False
 
     def _ensure_fresh(self) -> None:
         if self.stale:
@@ -373,7 +353,7 @@ class CompiledCircuit:
     def __repr__(self) -> str:
         return (
             f"<CompiledCircuit {self.circuit.name!r}: "
-            f"{len(self.order)} positions, {self.num_levels} levels, "
+            f"{len(self.order)} positions, "
             f"v{self.version}{' STALE' if self.stale else ''}>"
         )
 
@@ -393,9 +373,9 @@ class ArenaCompiledCircuit:
     evaluation time, so circuit mutations never invalidate this view --
     the arena's hooks already updated the arrays in place.
 
-    ``refresh``/staleness points where the legacy kernel would have
-    recompiled its schedule from the object graph instead bump the
-    arena's ``compile_rebuilds_avoided`` counter (tracked against
+    Staleness points where the legacy kernel would have recompiled its
+    schedule from the object graph instead bump the arena's
+    ``compile_rebuilds_avoided`` counter (tracked against
     :attr:`Circuit.version`, exactly the legacy staleness condition, so
     the avoided count is comparable to the legacy run's
     ``compile_rebuilds``).
@@ -428,17 +408,6 @@ class ArenaCompiledCircuit:
     def _ensure_fresh(self) -> None:
         if self.version != self.circuit.version:
             self._note_avoided()
-
-    def refresh(self, touched: Optional[Iterable[int]] = None) -> bool:
-        """Touched-gate-set invalidation contract: where the legacy
-        kernel recompiles, the live view only records the rebuild it
-        did not need.  Returns True when a rebuild was avoided."""
-        if self.version != self.circuit.version or (
-            touched is not None and any(True for _ in touched)
-        ):
-            self._note_avoided()
-            return True
-        return False
 
     # ----------------------------- queries ---------------------------- #
 
@@ -831,13 +800,3 @@ def get_compiled(circuit: Circuit):
     elif kern.stale:
         kern._compile()
     return kern
-
-
-def refresh_compiled(
-    circuit: Circuit, touched: Optional[Iterable[int]] = None
-) -> None:
-    """Apply the touched-gate-set invalidation contract to the
-    circuit's attached kernel, if any (no-op otherwise)."""
-    kern = getattr(circuit, "_compiled_kernel", None)
-    if kern is not None and kern.circuit is circuit:
-        kern.refresh(touched)

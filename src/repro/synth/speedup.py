@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from ..bdd import BDD, circuit_bdds
 from ..network import Circuit, GateType
 from ..timing import AsBuiltDelayModel, DelayModel, analyze
+from ..timing.models import EPS
 from ..twolevel import espresso
 from .isop import bdd_to_cover
 from .optimize import area_optimize
@@ -152,7 +153,7 @@ def speed_up(
         timing_decompose(work, model, gate_delay)
         area_optimize(work)
         stats.delay_after = analyze(work, model).delay
-        if stats.delay_after > stats.delay_before + 1e-9:
+        if stats.delay_after > stats.delay_before + EPS:
             # decomposing wide gates into 2-input trees can cost levels
             # under a unit model; honor the never-slower contract
             work = circuit.copy(f"{circuit.name}#fast")
@@ -215,7 +216,7 @@ def _rebuild_output(
         if shannon is not None and (best is None or shannon[0] < best[0]):
             best = shannon
             bypassed = latest
-    if best is None or best[0] >= old_arrival - 1e-9:
+    if best is None or best[0] >= old_arrival - EPS:
         return False
     arrival, root = best
     po_conn = work.gates[po].fanin[0]

@@ -105,7 +105,7 @@ class IncrementalTiming:
 
         The simulation routes through the compiled kernel
         (:mod:`repro.sim.kernel`) -- the schedule is compiled once and
-        recompiled only when :meth:`refresh` reports structural edits.
+        recompiled only after the circuit version moved.
         """
         rng = random.Random((self.seed << 20) ^ self._iteration)
         from ..sim import get_compiled, random_packed_inputs
@@ -126,10 +126,7 @@ class IncrementalTiming:
 
     def refresh(self, touched) -> None:
         """Re-relax timing in the dirty cone of ``touched``."""
-        from ..sim import refresh_compiled
-
         self.sta.refresh(touched)
-        refresh_compiled(self.circuit, touched)
         self._annotation = None
 
     # ------------------------------------------------------------------ #

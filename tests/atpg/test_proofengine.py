@@ -15,7 +15,7 @@ from repro.atpg import (
 from repro.circuits import carry_skip_adder, mcnc_circuit
 from repro.core.kms import kms
 from repro.counters import Window
-from repro.network import Builder
+from repro.network import Builder, GateType
 from repro.synth.optimize import area_optimize
 from repro.timing import UnitDelayModel
 
@@ -69,8 +69,9 @@ class TestAdaptivePool:
         assert window.delta()["random_words"] == 1
         assert window.delta()["sat_proofs"] == 1
         assert engine.vectors[-1] == {gid: 1 for gid in circuit.inputs}
-        # with the verdict evicted, the pool alone re-detects the fault
-        engine.invalidate(circuit.gates)
+        # any mutation moves the circuit version, which drops the
+        # verdict; the pool alone then re-detects the fault
+        circuit.set_gate_type(root, GateType.AND)
         assert engine.redundant_faults([fault]) == []
         assert window.delta()["faults_requalified"] == 2
         assert window.delta()["random_words"] == 1
@@ -122,9 +123,28 @@ def test_removal_takes_the_first_untestable_fault():
             assert result.circuit.num_gates() == 63
 
 
+def test_removal_requalifies_every_fault():
+    """Verdicts hold for one circuit version: the epoch after a removal
+    grades the whole collapsed universe again, the faults of an output
+    cone the removal left alone included."""
+    b = Builder("absorb_and")
+    x, y, u, v = b.inputs("x", "y", "u", "v")
+    b.output("f", b.or_(x, b.and_(x, y)))  # the AND is redundant
+    b.output("g", b.and_(u, v))
+    circuit = b.done()
+    engine = ProofEngine(circuit)
+    engine.remove(engine.next_redundant())
+    window = Window()
+    assert engine.next_redundant() is None
+    assert window.delta()["faults_requalified"] == len(
+        collapsed_faults(circuit)
+    )
+    assert window.delta()["sat_proofs"] == 0
+
+
 def test_every_proof_counter_moves():
-    """csa 4.2 carries verdicts across removals; clip drops faults by
-    SAT witnesses and reuses the epoch solver."""
+    """csa 4.2 removes redundancies; clip drops faults by SAT witnesses
+    and reuses the epoch solver."""
     totals = dict.fromkeys(PROOF_COUNTERS, 0)
     for circuit in (carry_skip_adder(4, 2), mcnc_circuit("clip")):
         counters = remove_redundancies(circuit).counters

@@ -1,5 +1,6 @@
 """Baseline (delay-oblivious) redundancy removal."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,6 +47,21 @@ class TestRemoval:
         result = remove_redundancies(c)
         assert check_equivalence(c, result.circuit).equivalent
         assert is_irredundant(result.circuit)
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_max_iterations_admits_exactly_that_many_removals(
+        self, incremental
+    ):
+        """csa 2.2 becomes irredundant after one removal: a budget of
+        one converges, a budget of zero does not."""
+        c = carry_skip_adder(2, 2)
+        result = remove_redundancies(
+            c, max_iterations=1, incremental=incremental
+        )
+        assert result.removed == 1
+        assert is_irredundant(result.circuit)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            remove_redundancies(c, max_iterations=0, incremental=incremental)
 
     def test_steps_record_shrinkage(self, redundant_or_circuit):
         result = remove_redundancies(redundant_or_circuit)

@@ -266,9 +266,10 @@ def test_arena_view_counts_avoided_rebuilds():
     c.add_simple(GateType.NOT, [c.inputs[0]], 1.0)
     kern.evaluate(packed, 4)  # stale circuit: one rebuild avoided
     assert avoided() == 1
-    assert kern.refresh({c.inputs[0]}) is True  # touched contract
+    c.add_simple(GateType.NOT, [c.inputs[1]], 1.0)
+    assert get_compiled(c) is kern  # stale again: one more avoided
     assert avoided() == 2
-    assert kern.refresh(set()) is False
+    assert get_compiled(c) is kern  # unchanged circuit: nothing avoided
     assert avoided() == 2
 
 

@@ -16,7 +16,6 @@ from repro.network import GateType
 from repro.sim import (
     CompiledCircuit,
     get_compiled,
-    refresh_compiled,
     simulate_packed,
 )
 from repro.sim import kernel as kernel_mod
@@ -118,19 +117,6 @@ def test_copy_does_not_share_kernel(and_or_circuit):
     kern = get_compiled(c)
     dup = c.copy("dup")
     assert get_compiled(dup) is not kern
-
-
-def test_refresh_touched_contract(and_or_circuit):
-    c = and_or_circuit
-    kern = get_compiled(c)
-    v = kern.version
-    # empty touched set on an unchanged circuit: no recompile
-    assert kern.refresh(set()) is False
-    assert kern.version == v
-    # non-empty touched set: recompile even if version-equal
-    assert kern.refresh({c.find_gate("g1")}) is True
-    # helper form is a no-op for circuits without an attached kernel
-    refresh_compiled(c.copy("fresh"), {1})
 
 
 # ---------------------------------------------------------------------- #
