@@ -58,8 +58,8 @@ def test_sta_scaling_xlarge(benchmark, nbits, block):
             gate = work.gates.get(gid)
             if gate is None or not gate.fanin or gate.gtype.name != "AND":
                 continue
-            _, touched = set_connection_constant(work, gate.fanin[0], 0)
-            sta.refresh(touched)
+            set_connection_constant(work, gate.fanin[0], 0)
+            sta.refresh()
         return work, sta, window.delta()
 
     work, sta, relaxed = once(benchmark, run)

@@ -34,7 +34,7 @@ after every iteration with the SAT miter and the timing engines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from ..counters import Window, count
 from ..network import (
@@ -130,13 +130,13 @@ def kms(
             walk-through).
         incremental: drive the loop with the dirty-cone incremental
             timing engine (:class:`repro.timing.IncrementalTiming`) --
-            arrival times and path counts are re-relaxed only in the
-            fanout of mutated gates, and each loop test is one question
-            over all longest paths at once.  ``False`` keeps the
-            from-scratch recompute per iteration and checks every
-            longest path on its own; both take identical steps, so the
-            full mode is the per-path test reference for the incremental
-            one (no CLI flag or engine stage selects it).
+            arrival times are re-relaxed only around the gates the
+            working circuit recorded as edited, and each loop test is
+            one question over all longest paths at once.  ``False``
+            keeps the from-scratch recompute per iteration and checks
+            every longest path on its own; both take identical steps, so
+            the full mode is the per-path test reference for the
+            incremental one (no CLI flag or engine stage selects it).
 
     Returns:
         :class:`KmsResult` whose circuit is fully single-stuck-at
@@ -194,10 +194,10 @@ def kms(
             raise KmsError(
                 "KMS did not converge (max_iterations reached)"
             )
-        event, touched = _eliminate_path(work, target, model, checked)
+        event = _eliminate_path(work, target, model, checked)
         event.iteration = iteration
         if timing is not None:
-            timing.refresh(touched)
+            timing.refresh()
         if trace:
             event.snapshot = work.copy(f"{work.name}@{iteration}")
         result.events.append(event)
@@ -282,28 +282,18 @@ def _find_unsensitizable_longest_path(
 
 def _eliminate_path(
     work: Circuit, path: Path, model: DelayModel, checked: bool
-) -> Tuple[KmsEvent, Set[int]]:
-    """One loop body: duplicate to single-fanout, then kill the first edge.
-
-    Returns the event plus the union of the transforms' touched-gate
-    sets, the incremental timing engine's refresh input.
-    """
+) -> KmsEvent:
+    """One loop body: duplicate to single-fanout, then kill the first edge."""
     description = path.describe(work)
     duplicated = 0
     target_path = path
-    touched: Set[int] = set()
     n = path.last_multifanout_gate(work)
     if n is not None:
         j = path.gates.index(n)
         chain = list(path.gates[: j + 1])
         chain_conns = list(path.conns[: j + 1])
         e = path.conns[j + 1]
-        mapping, dup_conns, dup_touched = duplicate_chain(
-            work, chain, chain_conns
-        )
-        touched |= dup_touched
-        # moving e re-sources its dst and shrinks n's fanout
-        touched.update({n, mapping[n], work.conns[e].dst})
+        mapping, dup_conns = duplicate_chain(work, chain, chain_conns)
         work.move_connection_source(e, mapping[n])
         duplicated = len(mapping)
         target_path = Path(
@@ -336,13 +326,10 @@ def _eliminate_path(
         value = controlling_value(first_gate.gtype)
     else:
         value = 0
-    _, const_touched = set_connection_constant(
-        work, target_path.first_edge, value
-    )
-    touched |= const_touched
-    touched |= propagate_constants(work)[1]
-    touched |= sweep(work, collapse_buffers=True)[1]
-    event = KmsEvent(
+    set_connection_constant(work, target_path.first_edge, value)
+    propagate_constants(work)
+    sweep(work, collapse_buffers=True)
+    return KmsEvent(
         iteration=-1,
         path=description,
         path_length=path.length,
@@ -350,7 +337,6 @@ def _eliminate_path(
         constant_value=value,
         gates_after=work.num_gates(),
     )
-    return event, touched
 
 
 def _check_invariants(original, work, model, baseline) -> None:

@@ -46,7 +46,9 @@ def parse_blif(text: str, gate_delay: float = 1.0) -> Circuit:
 
     Each ``.names`` table becomes a factored simple-gate tree (single
     output tables with '1' output phase; '0' phase tables are inverted).
-    ``.latch`` is rejected; use :func:`parse_blif_sequential`.
+    ``.latch`` is rejected; use :func:`parse_blif_sequential`.  So is a
+    model with no ``.outputs`` (an empty file is one): it has no
+    function to optimize or check.
     """
     parsed = _parse(text)
     if parsed["latches"]:
@@ -54,6 +56,8 @@ def parse_blif(text: str, gate_delay: float = 1.0) -> Circuit:
             ".latch found: use parse_blif_sequential for sequential "
             "models"
         )
+    if not parsed["outputs"]:
+        raise BlifError("the model declares no .outputs")
     return _build_combinational(parsed, gate_delay)
 
 

@@ -17,13 +17,15 @@ marker gates with exactly one fanin and zero delay, so that an *IO-path*
 
 Mutation keeps fanin/fanout lists consistent; anything more surgical
 (duplication, constant propagation, sweeping) lives in
-:mod:`repro.network.transform`.
+:mod:`repro.network.transform`, built from the primitives here.  The
+primitives alone decide which gates an edit touched
+(:meth:`Circuit.record_touched`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .gates import (
     GateType,
@@ -112,6 +114,9 @@ class Circuit:
         #: circuit as struct-of-arrays, or None.  Every mutation
         #: primitive notifies it so the flat arrays stay fresh in place.
         self._arena = None
+        #: the sets handed out by :meth:`record_touched`; every mutation
+        #: primitive adds the gids it touched to each of them.
+        self._records: List[Set[int]] = []
 
     # ------------------------------------------------------------------ #
     # construction primitives
@@ -133,6 +138,7 @@ class Circuit:
         elif gtype is GateType.OUTPUT:
             self._outputs.append(gid)
         self._dirty()
+        self._touch(gid)
         if self._arena is not None:
             self._arena.on_add_gate(gid, gtype, delay)
         return gid
@@ -162,6 +168,7 @@ class Circuit:
         self.gates[src].fanout.append(cid)
         dgate.fanin.append(cid)
         self._dirty()
+        self._touch(src, dst)
         if self._arena is not None:
             self._arena.on_connect(cid, src, dst, delay)
         return cid
@@ -189,6 +196,7 @@ class Circuit:
         self.gates[conn.src].fanout.remove(cid)
         self.gates[conn.dst].fanin.remove(cid)
         self._dirty()
+        self._touch(conn.src, conn.dst)
         if self._arena is not None:
             self._arena.on_remove_connection(cid)
 
@@ -205,6 +213,7 @@ class Circuit:
         if gid in self._outputs:
             self._outputs.remove(gid)
         self._dirty()
+        self._touch(gid)
         if self._arena is not None:
             self._arena.on_remove_gate(gid)
 
@@ -217,13 +226,15 @@ class Circuit:
         conn.src = new_src
         self.gates[new_src].fanout.append(cid)
         self._dirty()
+        self._touch(old_src, new_src, conn.dst)
         if self._arena is not None:
             self._arena.on_move_source(cid, old_src, new_src)
 
     # ------------------------------------------------------------------ #
     # attribute setters
     # ------------------------------------------------------------------ #
-    # Each notifies an attached arena so the flat arrays never go stale.
+    # Each records the gate it changed and notifies an attached arena so
+    # the flat arrays never go stale.
     # Only a retype bumps :attr:`version`: the compiled kernel's opcodes
     # and the proof engine's epoch CNF read gate types, while neither
     # reads delays or arrival times.
@@ -232,26 +243,57 @@ class Circuit:
         """Retype a gate in place (constant-propagation degenerations)."""
         self.gates[gid].gtype = gtype
         self._version += 1
+        self._touch(gid)
         if self._arena is not None:
             self._arena.on_set_gate_type(gid, gtype)
 
     def set_gate_delay(self, gid: int, delay: float) -> None:
         """Set a gate's delay ``d(g)`` in place."""
         self.gates[gid].delay = delay
+        self._touch(gid)
         if self._arena is not None:
             self._arena.on_set_gate_delay(gid, delay)
 
     def set_connection_delay(self, cid: int, delay: float) -> None:
         """Set a connection's delay ``d(c)`` in place."""
-        self.conns[cid].delay = delay
+        conn = self.conns[cid]
+        conn.delay = delay
+        self._touch(conn.dst)
         if self._arena is not None:
             self._arena.on_set_conn_delay(cid, delay)
 
     def set_input_arrival(self, gid: int, arrival: float) -> None:
         """Set a primary input's arrival time."""
         self.input_arrival[gid] = arrival
+        self._touch(gid)
         if self._arena is not None:
             self._arena.on_set_arrival(gid, arrival)
+
+    # ------------------------------------------------------------------ #
+    # touched-gate records
+    # ------------------------------------------------------------------ #
+
+    def record_touched(self) -> Set[int]:
+        """Return a new record of the gates that later edits touch.
+
+        From this call on, every mutation primitive adds gids to the
+        returned set: the gate it adds, retypes, re-delays, re-times or
+        removes; both ends of a connection it adds or removes; the old
+        source, the new source and the sink of a connection it
+        re-sources; the sink of a connection whose delay it sets.  So a
+        gate is recorded whenever its own attributes, its fanin (pins,
+        sources, delays) or its fanout changed, and a removed gate stays
+        recorded.  Each record fills on its own: its reader consumes
+        and clears it, and no other record loses a gid.  :meth:`copy`
+        carries no record over.
+        """
+        record: Set[int] = set()
+        self._records.append(record)
+        return record
+
+    def _touch(self, *gids: int) -> None:
+        for record in self._records:
+            record.update(gids)
 
     # ------------------------------------------------------------------ #
     # accessors

@@ -14,28 +14,15 @@ paper) is made of:
   assigning the complex gate's delay to the last gate of the decomposition
   and zero to the others (Section VI).
 
-Touched-gate sets
------------------
-
-The KMS building blocks (:func:`set_connection_constant`,
-:func:`propagate_constants`, :func:`duplicate_chain`, :func:`sweep`)
-additionally return the set of *touched* gates, the contract the KMS
-loop's incremental timing engine
-(:class:`repro.timing.sta.IncrementalSTA`) consumes.  It is the only
-consumer: the compiled simulation kernel and the proof engine watch
-:attr:`Circuit.version` instead.  A gid is touched when the gate still
-exists in the circuit and it was newly created, its fanin (pins,
-sources, or connection/gate delays) changed, or its fanout set changed.
-Gates that were *removed* are never listed; the consumer reconciles
-against ``circuit.gates`` (a removed gate's neighbours always appear in
-the touched set, so every surviving gate whose timing could have moved
-is covered).
+The transforms edit only through :class:`~repro.network.circuit.Circuit`'s
+mutation primitives, so a reader that needs the gates an edit changed
+takes them from :meth:`Circuit.record_touched`.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .circuit import Circuit, CircuitError
 from .gates import (
@@ -54,9 +41,7 @@ def constant_value(circuit: Circuit, gid: int) -> Optional[int]:
     return _CONST_VALUE.get(circuit.gates[gid].gtype)
 
 
-def set_connection_constant(
-    circuit: Circuit, cid: int, value: int
-) -> Tuple[int, Set[int]]:
+def set_connection_constant(circuit: Circuit, cid: int, value: int) -> int:
     """Tie connection ``cid`` to constant ``value``.
 
     Only this connection is affected -- the driving gate keeps its other
@@ -64,40 +49,29 @@ def set_connection_constant(
     untestable s-a-``value`` fault on a connection means the connection may
     be replaced by the constant without changing circuit function.
 
-    Returns ``(const_gid, touched)``: the gid of the constant gate now
-    driving the connection and the touched-gate set.
+    Returns the gid of the constant gate now driving the connection.
     """
     if value not in (0, 1):
         raise ValueError(f"constant must be 0 or 1, got {value!r}")
-    old_src = circuit.conns[cid].src
     const = circuit.add_gate(_CONST_TYPE[value], 0.0)
     circuit.move_connection_source(cid, const)
-    return const, {const, old_src, circuit.conns[cid].dst}
+    return const
 
 
-def _make_constant(
-    circuit: Circuit, gid: int, value: int, touched: Set[int]
-) -> List[int]:
+def _make_constant(circuit: Circuit, gid: int, value: int) -> List[int]:
     """Replace logic gate ``gid`` by a constant source, rewiring fanout.
     Returns the fanout gates, which the constant now feeds."""
     gate = circuit.gates[gid]
     const = circuit.add_gate(_CONST_TYPE[value], 0.0)
-    touched.add(const)
     fed = []
     for cid in list(gate.fanout):
         fed.append(circuit.conns[cid].dst)
         circuit.move_connection_source(cid, const)
-    touched.update(fed)
-    for cid in list(gate.fanin):
-        touched.add(circuit.conns[cid].src)
     circuit.remove_gate(gid)
-    touched.discard(gid)
     return fed
 
 
-def propagate_constants(
-    circuit: Circuit, zero_degenerate_delay: bool = True
-) -> Tuple[int, Set[int]]:
+def propagate_constants(circuit: Circuit) -> int:
     """Propagate constant sources forward as far as possible.
 
     Rules (for an input tied to constant v):
@@ -110,8 +84,8 @@ def propagate_constants(
 
     A multi-input gate reduced to one input degenerates to BUF/NOT; per the
     paper's convention its delay (and input-connection delay) is reduced to
-    zero when ``zero_degenerate_delay`` -- the gate "is equivalent to a
-    wire".  Dead gates left behind are swept.
+    zero -- the gate "is equivalent to a wire".  Dead gates left behind are
+    swept.
 
     One pass in topological order reaches the fixpoint: constants only
     flow forward, and the pass reaches a gate after all of its fanins.
@@ -119,11 +93,9 @@ def propagate_constants(
     their topological index; a gate that becomes constant queues its
     fanout.
 
-    Returns ``(removed, touched)``: the number of logic gates removed and
-    the touched-gate set.
+    Returns the number of logic gates removed.
     """
     before = circuit.num_gates()
-    touched: Set[int] = set()
     gates, conns = circuit.gates, circuit.conns
     fed = {
         conns[cid].dst
@@ -137,7 +109,7 @@ def propagate_constants(
     last = -1
 
     def make_constant(gid: int, value: int) -> None:
-        for dst in _make_constant(circuit, gid, value, touched):
+        for dst in _make_constant(circuit, gid, value):
             heapq.heappush(heap, index[dst])
 
     while heap:
@@ -156,7 +128,6 @@ def propagate_constants(
                 const_pins.append((cid, val))
         if not const_pins:
             continue
-        touched.add(gid)
         gtype = gate.gtype
         if gtype is GateType.BUF:
             make_constant(gid, const_pins[0][1])
@@ -170,13 +141,11 @@ def propagate_constants(
                 make_constant(gid, controlled_output(gtype))
                 continue
             for cid, _ in const_pins:  # all noncontrolling: drop pins
-                touched.add(conns[cid].src)
                 circuit.remove_connection(cid)
         elif gtype in (GateType.XOR, GateType.XNOR):
             flips = 0
             for cid, val in const_pins:
                 flips ^= val
-                touched.add(conns[cid].src)
                 circuit.remove_connection(cid)
             if flips:
                 circuit.set_gate_type(
@@ -202,18 +171,13 @@ def propagate_constants(
             circuit.set_gate_type(
                 gid, degenerate_single_input_type(gate.gtype)
             )
-            if zero_degenerate_delay:
-                circuit.set_gate_delay(gid, 0.0)
-                circuit.set_connection_delay(gate.fanin[0], 0.0)
-    _, swept = sweep(circuit)
-    touched |= swept
-    touched = {g for g in touched if g in circuit.gates}
-    return before - circuit.num_gates(), touched
+            circuit.set_gate_delay(gid, 0.0)
+            circuit.set_connection_delay(gate.fanin[0], 0.0)
+    sweep(circuit)
+    return before - circuit.num_gates()
 
 
-def sweep(
-    circuit: Circuit, collapse_buffers: bool = False
-) -> Tuple[int, Set[int]]:
+def sweep(circuit: Circuit, collapse_buffers: bool = False) -> int:
     """Remove dead logic: gates with no fanout, and unused constants.
 
     Primary inputs are always kept (the PI interface is part of the
@@ -224,11 +188,9 @@ def sweep(
     bypassed, folding its input-connection delay into each fanout
     connection so all path lengths are preserved exactly.
 
-    Returns ``(removed, touched)``: the number of gates removed and the
-    touched-gate set.
+    Returns the number of gates removed.
     """
     removed = 0
-    touched: Set[int] = set()
     gates, conns = circuit.gates, circuit.conns
     keep = (GateType.INPUT, GateType.OUTPUT)
     # (round, position in gates, gid): the order in which repeated
@@ -245,7 +207,6 @@ def sweep(
         if gate is None:
             continue  # queued twice
         srcs = [conns[cid].src for cid in gate.fanin]
-        touched.update(srcs)
         circuit.remove_gate(gid)
         removed += 1
         for src in srcs:
@@ -261,25 +222,22 @@ def sweep(
                 continue
             in_cid = gate.fanin[0]
             in_conn = circuit.conns[in_cid]
-            touched.add(in_conn.src)
             for out_cid in list(gate.fanout):
                 out_conn = circuit.conns[out_cid]
                 circuit.set_connection_delay(
                     out_cid, out_conn.delay + in_conn.delay + gate.delay
                 )
-                touched.add(out_conn.dst)
                 circuit.move_connection_source(out_cid, in_conn.src)
             circuit.remove_gate(gid)
             removed += 1
-    touched = {g for g in touched if g in circuit.gates}
-    return removed, touched
+    return removed
 
 
 def duplicate_chain(
     circuit: Circuit,
     chain: Sequence[int],
     path_conns: Sequence[int],
-) -> Tuple[Dict[int, int], List[int], Set[int]]:
+) -> Tuple[Dict[int, int], List[int]]:
     """Duplicate the gates of a path prefix (Theorem 7.1 / Fig. 3).
 
     ``chain`` is the ordered list of gates ``g_0 .. g_k`` along the chosen
@@ -294,35 +252,30 @@ def duplicate_chain(
     edge ``e`` of ``n`` onto the returned duplicate of ``n``, which then
     has exactly one fanout.
 
-    Returns ``(mapping, dup_path_conns, touched)`` where ``mapping`` maps
-    original gid -> duplicate gid, ``dup_path_conns`` are the new
-    connections ``c_0' .. c_k'`` forming the duplicated path prefix, and
-    ``touched`` is the touched-gate set (the duplicates plus every gate
-    that gained a fanout branch feeding one).
+    Returns ``(mapping, dup_path_conns)`` where ``mapping`` maps original
+    gid -> duplicate gid and ``dup_path_conns`` are the new connections
+    ``c_0' .. c_k'`` forming the duplicated path prefix.
     """
     if len(chain) != len(path_conns):
         raise CircuitError("chain and path_conns must align")
     mapping: Dict[int, int] = {}
     dup_path_conns: List[int] = []
-    touched: Set[int] = set()
     for idx, gid in enumerate(chain):
         gate = circuit.gates[gid]
-        dup = circuit.add_gate(gate.gtype, gate.delay, None)
-        if gate.name:
-            circuit.gates[dup].name = f"{gate.name}_dup"
-        touched.add(dup)
+        dup = circuit.add_gate(
+            gate.gtype, gate.delay, f"{gate.name}_dup" if gate.name else None
+        )
         path_cid = path_conns[idx]
         for cid in gate.fanin:
             conn = circuit.conns[cid]
             src = conn.src
             if cid == path_cid and src in mapping:
                 src = mapping[src]
-            touched.add(src)
             new_cid = circuit.connect(src, dup, conn.delay)
             if cid == path_cid:
                 dup_path_conns.append(new_cid)
         mapping[gid] = dup
-    return mapping, dup_path_conns, touched
+    return mapping, dup_path_conns
 
 
 def decompose_complex_gates(circuit: Circuit) -> int:

@@ -59,8 +59,8 @@ def strash(circuit: Circuit) -> int:
 def area_optimize(circuit: Circuit) -> Dict[str, int]:
     """Constant propagation + strash + sweep; returns per-pass stats."""
     stats = {
-        "constants": propagate_constants(circuit)[0],
+        "constants": propagate_constants(circuit),
         "strash": strash(circuit),
-        "sweep": sweep(circuit, collapse_buffers=True)[0],
+        "sweep": sweep(circuit, collapse_buffers=True),
     }
     return stats

@@ -8,9 +8,10 @@ to the affected region is where the speed comes from, this module bundles
 what the loop needs:
 
 * **dirty-cone STA** -- an :class:`~repro.timing.sta.IncrementalSTA`
-  consuming the touched-gate sets returned by the transforms in
-  :mod:`repro.network.transform`, re-relaxing arrival times and
-  ``dist_to_po`` only in the transitive fanout/fanin of mutated gates;
+  reading the gates the circuit's mutation primitives recorded
+  (:meth:`~repro.network.circuit.Circuit.record_touched`), re-relaxing
+  arrival times and ``dist_to_po`` only in the transitive fanout/fanin
+  of mutated gates;
 * **one question per loop test** -- the loop condition "all longest
   paths are not statically sensitizable/viable" is one existential
   question, asked once over the *critical subgraph* (the connections
@@ -75,8 +76,9 @@ class IncrementalTiming:
     the mutating working circuit.  Per iteration the loop calls
     :meth:`begin_iteration` (fresh packed patterns), reads
     :meth:`annotation`, asks :meth:`check_path` whether some longest
-    path qualifies, and after the structural edits calls :meth:`refresh`
-    with the union of the transforms' touched-gate sets.
+    path qualifies, and after the structural edits calls :meth:`refresh`,
+    which re-relaxes from the gates the circuit recorded since the last
+    one.
     """
 
     def __init__(
@@ -124,9 +126,10 @@ class IncrementalTiming:
             self._annotation = self.sta.annotation()
         return self._annotation
 
-    def refresh(self, touched) -> None:
-        """Re-relax timing in the dirty cone of ``touched``."""
-        self.sta.refresh(touched)
+    def refresh(self) -> None:
+        """Re-relax timing in the dirty cone of the gates edited since
+        the last refresh."""
+        self.sta.refresh()
         self._annotation = None
 
     # ------------------------------------------------------------------ #

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..counters import count
 from ..network import Circuit, GateType
@@ -140,9 +140,11 @@ class IncrementalSTA:
     and re-relaxes only the affected region after a mutation: the
     transitive *fanout* of the touched gates for arrival times and the
     transitive *fanin* for ``dist_to_po``, with early cutoff as soon as
-    a recomputed value is unchanged.  Touched sets are the ones returned
-    by the transforms in :mod:`repro.network.transform` (see the module
-    docstring there for the exact contract).
+    a recomputed value is unchanged.  The touched gates are the ones the
+    circuit's mutation primitives recorded since the last refresh, in
+    the record the engine takes when it is built
+    (:meth:`Circuit.record_touched`); edits made before that are
+    covered by the initial full relaxation.
 
     Per-gate relaxations go through the same :func:`_gate_arrival` /
     :func:`_gate_dist` helpers as :func:`analyze`, so the incremental
@@ -164,9 +166,9 @@ class IncrementalSTA:
     tuple (plus the fanin connection ids, which change iff an edge was
     added or removed) is the memo key.  Seeding the backward heap with
     the touched gates alone is then sound: a touched gate whose key is
-    unchanged cannot move any parent's value, and structural fanout
-    changes always mark the parent itself touched (see the
-    :mod:`repro.network.transform` contract).
+    unchanged cannot move any parent's value, and a connection edit
+    records the parent itself (both ends of an added or removed
+    connection, both sources of a re-sourced one).
     """
 
     def __init__(
@@ -180,6 +182,7 @@ class IncrementalSTA:
         #: propagation to fanin sources happens only when it changes.
         self._bwd_memo: Dict[int, tuple] = {}
         self.delay = 0.0
+        self._touched = circuit.record_touched()
         self._rebuild()
 
     def _parent_key(self, gid: int, dist: float) -> tuple:
@@ -224,19 +227,22 @@ class IncrementalSTA:
                 delay = max(delay, a)
         self.delay = delay
 
-    def refresh(self, touched: Iterable[int]) -> None:
-        """Re-relax after a mutation described by ``touched``.
+    def refresh(self) -> None:
+        """Re-relax from the gates recorded since the last refresh.
 
-        ``touched`` is the union of the touched-gate sets returned by the
-        transforms applied since the last refresh (stale gids of removed
-        gates are tolerated and ignored).
+        A recorded gate that is still in the circuit seeds both passes;
+        a removed one only loses its entries.  The record is cleared.
         """
         circuit = self.circuit
-        dirty: Set[int] = {g for g in touched if g in circuit.gates}
-        for store in (self.arrival, self.dist_to_po, self._bwd_memo):
-            stale = [gid for gid in store if gid not in circuit.gates]
-            for gid in stale:
-                del store[gid]
+        dirty: Set[int] = set()
+        for gid in self._touched:
+            if gid in circuit.gates:
+                dirty.add(gid)
+            else:
+                self.arrival.pop(gid, None)
+                self.dist_to_po.pop(gid, None)
+                self._bwd_memo.pop(gid, None)
+        self._touched.clear()
         if dirty:
             order = circuit.topological_order()
             pos = {gid: i for i, gid in enumerate(order)}
@@ -294,30 +300,18 @@ class IncrementalSTA:
                     heapq.heappush(heap, (-pos[src], src))
         count("dist_relaxations", relaxed)
 
-    def annotation(self, compute_slack: bool = False) -> TimingAnnotation:
-        """A :class:`TimingAnnotation` view of the current state.
+    def annotation(self) -> TimingAnnotation:
+        """A :class:`TimingAnnotation` view of the current state, without
+        ``required``/``slack``.
 
         The returned dicts are snapshots; mutating the circuit and
         refreshing does not invalidate a previously returned annotation.
-        ``compute_slack`` fills ``required``/``slack`` (pure arithmetic
-        over the maintained values, no extra relaxations).
         """
-        ann = TimingAnnotation(
+        return TimingAnnotation(
             arrival=dict(self.arrival),
             dist_to_po=dict(self.dist_to_po),
             delay=self.delay,
         )
-        if compute_slack:
-            for gid in self.arrival:
-                a = ann.arrival[gid]
-                d = ann.dist_to_po[gid]
-                if a == NEVER or d == NEVER:
-                    ann.required[gid] = float("inf")
-                    ann.slack[gid] = float("inf")
-                else:
-                    ann.required[gid] = ann.delay - d
-                    ann.slack[gid] = ann.required[gid] - a
-        return ann
 
 
 def topological_delay(

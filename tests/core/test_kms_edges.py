@@ -71,12 +71,10 @@ class TestGuards:
         even though tying off P' later deletes the slowed duplicate."""
 
         def slow_duplicate_chain(circuit, chain, path_conns):
-            mapping, conns, touched = duplicate_chain(
-                circuit, chain, path_conns
-            )
+            mapping, conns = duplicate_chain(circuit, chain, path_conns)
             last = mapping[chain[-1]]
             circuit.set_gate_delay(last, circuit.gates[last].delay + 3)
-            return mapping, conns, touched
+            return mapping, conns
 
         monkeypatch.setattr(
             importlib.import_module("repro.core.kms"),

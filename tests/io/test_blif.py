@@ -82,6 +82,15 @@ class TestParse:
         with pytest.raises(BlifError):
             parse_blif(".model m\n.latch a b re clk 0\n.end")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["", ".model m\n.inputs a\n.names a y\n1 1\n.end\n"],
+        ids=["empty", "no-outputs-line"],
+    )
+    def test_model_without_outputs_rejected(self, text):
+        with pytest.raises(BlifError, match="no .outputs"):
+            parse_blif(text)
+
     def test_undriven_output_rejected(self):
         with pytest.raises(BlifError):
             parse_blif(".model m\n.inputs a\n.outputs y\n.end")

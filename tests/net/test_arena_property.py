@@ -9,9 +9,9 @@ to the other.  After every mutation step the two worlds must agree on:
   dicts, pin order, maintained topological order);
 * **fingerprints** -- the arena's incrementally re-hashed digests equal
   the verbatim object-graph Merkle walk, per gate and whole-circuit;
-* **touched sets** -- transforms return identical touched-gate sets
-  with and without the arena attached (the hooks must not perturb the
-  transforms);
+* **touched-gate records** -- the circuits' mutation primitives record
+  identical gates with and without the arena attached (the hooks must
+  not perturb the transforms);
 * **STA state** -- an :class:`IncrementalSTA` over the arena-attached
   circuit holds exactly the from-scratch timing state;
 * **simulation** -- the zero-copy :class:`ArenaCompiledCircuit` view
@@ -113,23 +113,23 @@ def _mutate_constant(circuit, rng):
         not in (GateType.CONST0, GateType.CONST1)
     ]
     if not candidates:
-        return None
-    _, touched = set_connection_constant(
+        return False
+    set_connection_constant(
         circuit, rng.choice(candidates), rng.randint(0, 1)
     )
-    _, propagated = propagate_constants(circuit)
-    return touched | propagated
+    propagate_constants(circuit)
+    return True
 
 
 def _mutate_sweep(circuit, rng):
-    _, touched = sweep(circuit, collapse_buffers=True)
-    return touched
+    sweep(circuit, collapse_buffers=True)
+    return True
 
 
 def _mutate_duplicate(circuit, rng):
     paths = list(iter_paths_longest_first(circuit, MODEL, max_paths=8))
     if not paths:
-        return None
+        return False
     path = rng.choice(paths)
     branch_points = [
         j
@@ -137,26 +137,22 @@ def _mutate_duplicate(circuit, rng):
         if len(circuit.gates[gid].fanout) > 1
     ]
     if not branch_points:
-        return None
+        return False
     j = rng.choice(branch_points)
     chain = list(path.gates[: j + 1])
     chain_conns = list(path.conns[: j + 1])
     edge = path.conns[j + 1]
-    mapping, _dup_conns, touched = duplicate_chain(
-        circuit, chain, chain_conns
-    )
-    n = chain[-1]
-    touched |= {n, mapping[n], circuit.conns[edge].dst}
-    circuit.move_connection_source(edge, mapping[n])
-    return touched
+    mapping, _dup_conns = duplicate_chain(circuit, chain, chain_conns)
+    circuit.move_connection_source(edge, mapping[chain[-1]])
+    return True
 
 
 def _mutate_arrival(circuit, rng):
     if not circuit.inputs:
-        return None
+        return False
     pi = rng.choice(circuit.inputs)
     circuit.set_input_arrival(pi, float(rng.randint(0, 5)))
-    return {pi}
+    return True
 
 
 MUTATIONS = [
@@ -189,7 +185,8 @@ def _random_subject(rng, index):
 
 @pytest.mark.parametrize("batch", range(BATCHES))
 def test_arena_mirrors_object_graph_under_mutation(batch):
-    """Structure + fingerprints + touched sets, arena vs bare twin."""
+    """Structure + fingerprints + touched-gate records, arena vs bare
+    twin."""
     rng = random.Random(7000 + batch)
     for index in range(CIRCUITS_PER_BATCH):
         base = _random_subject(rng, index)
@@ -201,13 +198,17 @@ def test_arena_mirrors_object_graph_under_mutation(batch):
         bare = base.copy()
         arena = attach_arena(with_arena)
         _assert_arena_matches(with_arena, arena)
+        record_a = with_arena.record_touched()
+        record_b = bare.record_touched()
 
         rng_a = random.Random(seed)
         rng_b = random.Random(seed)
         for which in plan:
-            touched_a = MUTATIONS[which](with_arena, rng_a)
-            touched_b = MUTATIONS[which](bare, rng_b)
-            assert touched_a == touched_b, "touched sets diverged"
+            MUTATIONS[which](with_arena, rng_a)
+            MUTATIONS[which](bare, rng_b)
+            assert record_a == record_b, "touched-gate records diverged"
+            record_a.clear()
+            record_b.clear()
             _assert_arena_matches(with_arena, arena)
         # the twins themselves must still be structurally identical
         assert _walk_circuit_fp(with_arena) == _walk_circuit_fp(bare)
@@ -224,10 +225,9 @@ def test_arena_sta_and_simulation_parity(batch):
         _assert_sta_matches(sta, circuit)
         for _step in range(rng.randint(2, 5)):
             mutate = MUTATIONS[rng.randrange(len(MUTATIONS))]
-            touched = mutate(circuit, rng)
-            if touched is None:
+            if not mutate(circuit, rng):
                 continue
-            sta.refresh(touched)
+            sta.refresh()
             _assert_sta_matches(sta, circuit)
             # simulation: zero-copy view vs legacy schedule vs interpreter
             kern = get_compiled(circuit)

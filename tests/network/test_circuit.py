@@ -184,3 +184,106 @@ class TestCopy:
             and_or_circuit.find_output("zz")
         with pytest.raises(KeyError):
             and_or_circuit.find_gate("zz")
+
+
+class TestTouchedRecords:
+    """Each mutation primitive records exactly the gates it changed."""
+
+    @pytest.fixture
+    def c(self, and_or_circuit):
+        return and_or_circuit
+
+    def _ids(self, c):
+        """(a, b, g1, g2): the inputs a, b and the two logic gates."""
+        return (
+            c.find_input("a"),
+            c.find_input("b"),
+            c.find_gate("g1"),
+            c.find_gate("g2"),
+        )
+
+    def test_add_gate_records_the_gate(self, c):
+        record = c.record_touched()
+        gid = c.add_gate(GateType.NOT, 1.0)
+        assert record == {gid}
+
+    def test_set_gate_type_records_the_gate(self, c):
+        _, _, g1, _ = self._ids(c)
+        record = c.record_touched()
+        c.set_gate_type(g1, GateType.NAND)
+        assert record == {g1}
+
+    def test_set_gate_delay_records_the_gate(self, c):
+        _, _, g1, _ = self._ids(c)
+        record = c.record_touched()
+        c.set_gate_delay(g1, 4.0)
+        assert record == {g1}
+
+    def test_set_input_arrival_records_the_input(self, c):
+        a, _, _, _ = self._ids(c)
+        record = c.record_touched()
+        c.set_input_arrival(a, 2.0)
+        assert record == {a}
+
+    def test_remove_gate_records_the_gate_and_its_neighbours(self, c):
+        a, b, g1, g2 = self._ids(c)
+        lone = c.add_gate(GateType.NOT, 1.0)
+        record = c.record_touched()
+        c.remove_gate(lone)
+        assert record == {lone}
+        # its connections go through remove_connection: both ends each
+        c.remove_gate(g1)
+        assert record == {lone, g1, a, b, g2}
+
+    def test_connect_records_both_ends(self, c):
+        a, _, _, g2 = self._ids(c)
+        record = c.record_touched()
+        c.connect(a, g2)
+        assert record == {a, g2}
+
+    def test_remove_connection_records_both_ends(self, c):
+        a, _, g1, _ = self._ids(c)
+        cid = next(x for x in c.gates[g1].fanin if c.conns[x].src == a)
+        record = c.record_touched()
+        c.remove_connection(cid)
+        assert record == {a, g1}
+
+    def test_move_connection_source_records_both_sources_and_sink(self, c):
+        a, _, g1, g2 = self._ids(c)
+        cid = next(x for x in c.gates[g2].fanin if c.conns[x].src == g1)
+        record = c.record_touched()
+        c.move_connection_source(cid, a)
+        assert record == {g1, a, g2}
+
+    def test_set_connection_delay_records_the_sink(self, c):
+        a, _, g1, _ = self._ids(c)
+        cid = next(x for x in c.gates[g1].fanin if c.conns[x].src == a)
+        record = c.record_touched()
+        c.set_connection_delay(cid, 3.0)
+        assert record == {g1}
+
+    def test_record_sees_only_later_edits(self, c):
+        a, b, g1, _ = self._ids(c)
+        c.set_gate_delay(g1, 2.0)
+        c.set_input_arrival(a, 1.0)
+        record = c.record_touched()
+        assert record == set()
+        c.set_input_arrival(b, 1.0)
+        assert record == {b}
+        # a copy carries no record over
+        c.copy().set_gate_delay(g1, 5.0)
+        assert record == {b}
+
+    def test_two_records_fill_independently(self, c):
+        a, _, g1, g2 = self._ids(c)
+        first = c.record_touched()
+        c.set_gate_delay(g1, 2.0)
+        second = c.record_touched()
+        c.set_gate_delay(g2, 2.0)
+        assert first == {g1, g2}
+        assert second == {g2}
+        first.clear()  # one reader consuming its record
+        assert second == {g2}
+        c.set_input_arrival(a, 1.0)
+        assert first == {a}
+        assert second == {g2, a}

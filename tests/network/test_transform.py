@@ -27,9 +27,10 @@ class TestSetConnectionConstant:
         c = two_output_circuit
         inv = c.find_gate("inv")
         cid = c.gates[inv].fanin[0]
-        const, touched = set_connection_constant(c, cid, 0)
+        record = c.record_touched()
+        const = set_connection_constant(c, cid, 0)
         assert constant_value(c, const) == 0
-        assert const in touched and inv in touched
+        assert record == {const, c.find_gate("shared"), inv}
         # shared still drives y0
         a, b = c.inputs
         values = c.evaluate({a: 1, b: 1})
@@ -135,10 +136,10 @@ class TestSweep:
         c = and_or_circuit
         # orphan gate
         a = c.find_input("a")
-        c.add_simple(GateType.NOT, [a], 1.0)
-        removed, touched = sweep(c)
-        assert removed == 1
-        assert a in touched  # the orphan's source lost a fanout
+        orphan = c.add_simple(GateType.NOT, [a], 1.0)
+        record = c.record_touched()
+        assert sweep(c) == 1
+        assert record == {orphan, a}  # the orphan's source lost a fanout
         check(c)
 
     def test_keeps_inputs(self):
@@ -183,11 +184,13 @@ class TestDuplicateChain:
             cid for cid in c.gates[shared].fanout
             if c.conns[cid].dst == inv
         )
-        mapping, dup_conns, touched = duplicate_chain(c, [shared], [path_conn])
-        c.move_connection_source(e, mapping[shared])
-        check(c)
+        record = c.record_touched()
+        mapping, dup_conns = duplicate_chain(c, [shared], [path_conn])
         dup = mapping[shared]
-        assert dup in touched and a in touched
+        # the duplicate plus each source that gained a branch into it
+        assert record == {dup, *c.fanin_gates(shared)}
+        c.move_connection_source(e, dup)
+        check(c)
         assert c.fanout_size(dup) == 1
         assert c.gates[dup].gtype is GateType.AND
         assert len(dup_conns) == 1

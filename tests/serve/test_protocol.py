@@ -99,6 +99,7 @@ def test_factory_source():
     {"kind": "builtin"},  # missing field
     {"kind": "blif", "text": "this is not blif"},
     {"kind": "json", "circuit": {"bogus": True}},
+    {"kind": "blif", "text": ""},  # no outputs
 ])
 def test_bad_circuit_sources_are_bad_requests(source):
     with pytest.raises(BadRequest):

@@ -1,6 +1,10 @@
 """The command-line interface."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,25 @@ def test_kms_command(csa_blif, tmp_path, capsys):
     before = parse_blif(csa_blif.read_text())
     after = parse_blif(out.read_text())
     assert check_equivalence(before, after).equivalent
+
+
+def test_kms_rejects_an_empty_blif(tmp_path):
+    """An empty file -- what a failed ``repro generate ... > f.blif``
+    leaves behind -- declares no outputs, so ``kms`` must fail instead
+    of reporting an equivalent, irredundant empty circuit."""
+    empty = tmp_path / "empty.blif"
+    empty.write_text("")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "kms", str(empty)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode != 0
+    assert "declares no .outputs" in proc.stderr
+    assert "equivalent=True" not in proc.stderr
 
 
 def test_timing_command(csa_blif, capsys):

@@ -36,9 +36,9 @@ def test_incremental_sta_relaxes_only_the_dirty_cone():
     assert window.delta()["arrival_relaxations"] == len(circuit.gates)
 
     cid = next(iter(circuit.gates[circuit.inputs[-1]].fanout))
-    _, touched = set_connection_constant(circuit, cid, 0)
+    set_connection_constant(circuit, cid, 0)
     window = Window()
-    sta.refresh(touched)
+    sta.refresh()
 
     delta = window.delta()["arrival_relaxations"]
     assert 0 < delta < len(circuit.gates)
@@ -53,8 +53,8 @@ def test_incremental_sta_annotation_is_a_snapshot():
     sta = IncrementalSTA(circuit, MODEL)
     before = sta.annotation()
     cid = next(iter(circuit.gates[circuit.inputs[0]].fanout))
-    _, touched = set_connection_constant(circuit, cid, 1)
-    sta.refresh(touched)
+    set_connection_constant(circuit, cid, 1)
+    sta.refresh()
     after = sta.annotation()
     assert before.arrival != after.arrival or before.delay != after.delay
     assert before.arrival is not after.arrival
@@ -122,10 +122,8 @@ def test_loop_gate_encodings_moves_on_check_mutate_check():
         g for g, gate in circuit.gates.items()
         if len(gate.fanin) > 1 and gate.fanout
     )
-    _, touched = set_connection_constant(
-        circuit, circuit.gates[gid].fanin[0], 1
-    )
-    timing.refresh(touched)
+    set_connection_constant(circuit, circuit.gates[gid].fanin[0], 1)
+    timing.refresh()
     window = Window()
     timing.check_path()
     assert window.delta()["loop_gate_encodings"] == 2
@@ -151,8 +149,10 @@ def test_backward_seed_skips_parents_when_parent_visible_state_unchanged():
         for g, gate in circuit.gates.items()
         if len(gate.fanin) >= 2 and gate.fanout
     )
+    # rewriting the gate's own delay records it and changes nothing
+    circuit.set_gate_delay(gid, circuit.gates[gid].delay)
     window = Window()
-    sta.refresh({gid})
+    sta.refresh()
     # forward: the gate plus the early-cutoff visit of its fanouts;
     # backward: exactly the seed, no parent fan-out.
     assert window.delta()["arrival_relaxations"] >= 1
@@ -177,8 +177,8 @@ def test_backward_seed_still_reaches_parents_on_edge_delay_change():
     sta = IncrementalSTA(circuit, model)
     assert sta.dist_to_po[x] == 1.0
     cid = circuit.gates[g].fanin[0]  # the x -> g edge
-    circuit.set_connection_delay(cid, 5.0)
-    sta.refresh({g})  # transform contract: the edge's dst is touched
+    circuit.set_connection_delay(cid, 5.0)  # records the edge's dst
+    sta.refresh()
     ann = analyze(circuit, model)
     assert sta.dist_to_po == ann.dist_to_po
     assert sta.dist_to_po[x] == 6.0
@@ -198,7 +198,7 @@ def test_backward_seed_still_reaches_parents_on_gate_delay_change():
     model = AsBuiltDelayModel()
     sta = IncrementalSTA(circuit, model)
     circuit.set_gate_delay(g, 4.0)
-    sta.refresh({g})
+    sta.refresh()
     ann = analyze(circuit, model)
     assert sta.arrival == ann.arrival
     assert sta.dist_to_po == ann.dist_to_po

@@ -4,9 +4,10 @@ Three layers of agreement over randomized inputs:
 
 * **STA state** -- after every mutation in a randomized sequence of KMS
   transforms (constant-setting + propagation, sweeps, chain
-  duplications, arrival-time changes), a dirty-cone
-  :class:`~repro.timing.sta.IncrementalSTA` refreshed with the
-  transforms' touched-gate sets must hold exactly the arrival times,
+  duplications, arrival-time changes), all made through ``Circuit``'s
+  mutation primitives, a dirty-cone
+  :class:`~repro.timing.sta.IncrementalSTA` refreshed from the gates
+  those primitives recorded must hold exactly the arrival times,
   ``dist_to_po``, longest-path counts, delay, and longest-path *sets*
   that a from-scratch pass computes -- ``==`` on floats, no tolerance:
   both engines share the same per-gate arithmetic, so any difference is
@@ -145,17 +146,17 @@ def _mutate_constant(circuit, model, rng):
         not in (GateType.CONST0, GateType.CONST1)
     ]
     if not candidates:
-        return None
-    _, touched = set_connection_constant(
+        return False
+    set_connection_constant(
         circuit, rng.choice(candidates), rng.randint(0, 1)
     )
-    _, propagated = propagate_constants(circuit)
-    return touched | propagated
+    propagate_constants(circuit)
+    return True
 
 
 def _mutate_sweep(circuit, model, rng):
-    _, touched = sweep(circuit, collapse_buffers=True)
-    return touched
+    sweep(circuit, collapse_buffers=True)
+    return True
 
 
 def _mutate_duplicate(circuit, model, rng):
@@ -164,7 +165,7 @@ def _mutate_duplicate(circuit, model, rng):
     duplicate (exactly what the KMS loop does per iteration)."""
     paths = list(iter_paths_longest_first(circuit, model, max_paths=8))
     if not paths:
-        return None
+        return False
     path = rng.choice(paths)
     branch_points = [
         j
@@ -172,26 +173,22 @@ def _mutate_duplicate(circuit, model, rng):
         if len(circuit.gates[gid].fanout) > 1
     ]
     if not branch_points:
-        return None
+        return False
     j = rng.choice(branch_points)
     chain = list(path.gates[: j + 1])
     chain_conns = list(path.conns[: j + 1])
     edge = path.conns[j + 1]
-    mapping, _dup_conns, touched = duplicate_chain(
-        circuit, chain, chain_conns
-    )
-    n = chain[-1]
-    touched |= {n, mapping[n], circuit.conns[edge].dst}
-    circuit.move_connection_source(edge, mapping[n])
-    return touched
+    mapping, _dup_conns = duplicate_chain(circuit, chain, chain_conns)
+    circuit.move_connection_source(edge, mapping[chain[-1]])
+    return True
 
 
 def _mutate_arrival(circuit, model, rng):
     if not circuit.inputs:
-        return None
+        return False
     pi = rng.choice(circuit.inputs)
-    circuit.input_arrival[pi] = float(rng.randint(0, 5))
-    return {pi}
+    circuit.set_input_arrival(pi, float(rng.randint(0, 5)))
+    return True
 
 
 MUTATIONS = [
@@ -227,10 +224,9 @@ def test_incremental_sta_tracks_full_recompute(model, case):
         _assert_matches_oracle(sta, circuit, model)
         for _step in range(rng.randint(2, 6)):
             mutate = rng.choice(MUTATIONS)
-            touched = mutate(circuit, model, rng)
-            if touched is None:
+            if not mutate(circuit, model, rng):
                 continue
-            sta.refresh(touched)
+            sta.refresh()
             _assert_matches_oracle(sta, circuit, model)
 
 
@@ -266,10 +262,9 @@ def test_check_path_matches_per_path_reference(mode, model, case):
         _assert_loop_test_matches_reference(timing, circuit, model, mode)
         for _step in range(rng.randint(2, 6)):
             mutate = rng.choice(MUTATIONS)
-            touched = mutate(circuit, model, rng)
-            if touched is None:
+            if not mutate(circuit, model, rng):
                 continue
-            timing.refresh(touched)
+            timing.refresh()
             _assert_loop_test_matches_reference(
                 timing, circuit, model, mode
             )
@@ -282,7 +277,7 @@ def _mutate_resource(circuit, model, rng):
     duplication and in buffer collapsing), and the function changes."""
     cids = list(circuit.conns)
     if not cids:
-        return None
+        return False
     cid = rng.choice(cids)
     conn = circuit.conns[cid]
     downstream = circuit.transitive_fanout([conn.dst])
@@ -294,11 +289,9 @@ def _mutate_resource(circuit, model, rng):
         and gate.gtype is not GateType.OUTPUT
     ]
     if not sources:
-        return None
-    old = conn.src
-    new = rng.choice(sources)
-    circuit.move_connection_source(cid, new)
-    return {old, new, conn.dst}
+        return False
+    circuit.move_connection_source(cid, rng.choice(sources))
+    return True
 
 
 _RETYPES = [GateType.AND, GateType.OR, GateType.NAND, GateType.NOR]
@@ -312,13 +305,13 @@ def _mutate_retype(circuit, model, rng):
         if gate.gtype in _RETYPES and len(gate.fanin) > 1
     ]
     if not gates:
-        return None
+        return False
     gid = rng.choice(gates)
     circuit.set_gate_type(
         gid,
         rng.choice([t for t in _RETYPES if t is not circuit.gates[gid].gtype]),
     )
-    return {gid}
+    return True
 
 
 #: the long-sequence mix: mostly edits that keep a circuit alive
@@ -381,10 +374,8 @@ def test_run_long_loop_solver_matches_per_path_reference(
                 )
                 assert window.delta()["viability_checks_exact"] == 1
                 asked += 1
-            mutate = rng.choice(LONG_MUTATIONS)
-            touched = mutate(circuit, model, rng)
-            if touched is not None:
-                timing.refresh(touched)
+            if rng.choice(LONG_MUTATIONS)(circuit, model, rng):
+                timing.refresh()
     assert asked >= 2 * LONG_STEPS
     # the solvers outlived their first encoding at least once
     assert len(builds) > len(set(map(id, builds)))
