@@ -37,7 +37,7 @@ from .atpg import (
     redundant_faults,
 )
 from .core import kms, measure_delays, verify_transformation
-from .io import parse_blif, write_blif
+from .io import BlifError, parse_blif, write_blif
 from .network import Circuit
 from .timing import (
     SensitizationChecker,
@@ -46,9 +46,19 @@ from .timing import (
 )
 
 
+class _InputError(Exception):
+    """A command's input file is unreadable or not valid BLIF; ``main``
+    reports it on one line and exits 2."""
+
+
 def _load(path: str) -> Circuit:
-    with open(path) as handle:
-        return parse_blif(handle.read())
+    try:
+        with open(path) as handle:
+            return parse_blif(handle.read())
+    except OSError as exc:
+        raise _InputError(f"{path}: {exc.strerror or exc}") from exc
+    except (BlifError, UnicodeDecodeError) as exc:
+        raise _InputError(f"{path}: {exc}") from exc
 
 
 def _save(
@@ -787,7 +797,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -93,9 +93,9 @@ def propagate_constants(circuit: Circuit) -> int:
     their topological index; a gate that becomes constant queues its
     fanout.
 
-    Returns the number of logic gates removed.
+    Returns the number of logic gates removed, counted as the pass makes
+    them constant and the final sweep removes them.
     """
-    before = circuit.num_gates()
     gates, conns = circuit.gates, circuit.conns
     fed = {
         conns[cid].dst
@@ -107,8 +107,11 @@ def propagate_constants(circuit: Circuit) -> int:
     index = {gid: i for i, gid in enumerate(order)}
     heap = sorted(index[gid] for gid in fed)
     last = -1
+    made_constant = 0
 
     def make_constant(gid: int, value: int) -> None:
+        nonlocal made_constant
+        made_constant += 1
         for dst in _make_constant(circuit, gid, value):
             heapq.heappush(heap, index[dst])
 
@@ -173,8 +176,7 @@ def propagate_constants(circuit: Circuit) -> int:
             )
             circuit.set_gate_delay(gid, 0.0)
             circuit.set_connection_delay(gate.fanin[0], 0.0)
-    sweep(circuit)
-    return before - circuit.num_gates()
+    return made_constant + _remove_dead(circuit)[1]
 
 
 def sweep(circuit: Circuit, collapse_buffers: bool = False) -> int:
@@ -190,29 +192,7 @@ def sweep(circuit: Circuit, collapse_buffers: bool = False) -> int:
 
     Returns the number of gates removed.
     """
-    removed = 0
-    gates, conns = circuit.gates, circuit.conns
-    keep = (GateType.INPUT, GateType.OUTPUT)
-    # (round, position in gates, gid): the order in which repeated
-    # passes over the gates would remove them
-    heap = [
-        (0, i, gid)
-        for i, (gid, gate) in enumerate(gates.items())
-        if not gate.fanout and gate.gtype not in keep
-    ]
-    position = {gid: i for i, gid in enumerate(gates)} if heap else {}
-    while heap:
-        rnd, i, gid = heapq.heappop(heap)
-        gate = gates.get(gid)
-        if gate is None:
-            continue  # queued twice
-        srcs = [conns[cid].src for cid in gate.fanin]
-        circuit.remove_gate(gid)
-        removed += 1
-        for src in srcs:
-            if not gates[src].fanout and gates[src].gtype not in keep:
-                j = position[src]
-                heapq.heappush(heap, (rnd if j > i else rnd + 1, j, src))
+    removed = _remove_dead(circuit)[0]
     if collapse_buffers:
         for gid in list(circuit.gates):
             gate = circuit.gates.get(gid)
@@ -231,6 +211,37 @@ def sweep(circuit: Circuit, collapse_buffers: bool = False) -> int:
             circuit.remove_gate(gid)
             removed += 1
     return removed
+
+
+def _remove_dead(circuit: Circuit) -> Tuple[int, int]:
+    """:func:`sweep`'s dead-gate worklist.  Returns the number of gates
+    removed and how many of them were logic gates (not constants)."""
+    removed = logic = 0
+    gates, conns = circuit.gates, circuit.conns
+    keep = (GateType.INPUT, GateType.OUTPUT)
+    # (round, position in gates, gid): the order in which repeated
+    # passes over the gates would remove them
+    heap = [
+        (0, i, gid)
+        for i, (gid, gate) in enumerate(gates.items())
+        if not gate.fanout and gate.gtype not in keep
+    ]
+    position = {gid: i for i, gid in enumerate(gates)} if heap else {}
+    while heap:
+        rnd, i, gid = heapq.heappop(heap)
+        gate = gates.get(gid)
+        if gate is None:
+            continue  # queued twice
+        srcs = [conns[cid].src for cid in gate.fanin]
+        if gate.gtype not in _CONST_VALUE:
+            logic += 1
+        circuit.remove_gate(gid)
+        removed += 1
+        for src in srcs:
+            if not gates[src].fanout and gates[src].gtype not in keep:
+                j = position[src]
+                heapq.heappush(heap, (rnd if j > i else rnd + 1, j, src))
+    return removed, logic
 
 
 def duplicate_chain(

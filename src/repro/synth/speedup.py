@@ -173,7 +173,7 @@ def speed_up(
         po = candidates[0]
         attempted.add(po)
         improved = _rebuild_output(
-            work, po, model, allow_bypass, gate_delay, stats
+            work, po, ann.arrival[po], model, allow_bypass, gate_delay, stats
         )
         area_optimize(work)
         if not improved and len(attempted) >= len(work.outputs):
@@ -186,14 +186,14 @@ def speed_up(
 def _rebuild_output(
     work: Circuit,
     po: int,
+    old_arrival: float,
     model: DelayModel,
     allow_bypass: bool,
     gate_delay: float,
     stats: SpeedupStats,
 ) -> bool:
-    """Try to rebuild one output cone; returns True if kept."""
-    ann = analyze(work, model)
-    old_arrival = ann.arrival[po]
+    """Try to rebuild one output cone, whose current arrival is
+    ``old_arrival``; returns True if kept."""
     bdd, nodes = circuit_bdds(work)
     func = nodes[po]
     if func in (bdd.ZERO, bdd.ONE):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator, List, Optional, Sequence
 
-from .cube import Cube
+from .cube import DC, LOW, Cube, bound_mask
 
 
 class Cover:
@@ -39,6 +39,16 @@ class Cover:
             cubes.append(Cube.from_assignment(num_vars, assignment))
         return cls(num_vars, cubes)
 
+    @classmethod
+    def _of(cls, num_vars: int, cubes: List[Cube]) -> "Cover":
+        """A cover holding ``cubes`` as given: for results built inside
+        the package from cubes already known non-void and of arity
+        ``num_vars``, so :meth:`add`'s checks are skipped."""
+        cover = cls.__new__(cls)
+        cover.num_vars = num_vars
+        cover.cubes = cubes
+        return cover
+
     def add(self, cube: Cube) -> None:
         if cube.num_vars != self.num_vars:
             raise ValueError("cube arity mismatch")
@@ -46,7 +56,7 @@ class Cover:
             self.cubes.append(cube)
 
     def copy(self) -> "Cover":
-        return Cover(self.num_vars, list(self.cubes))
+        return Cover._of(self.num_vars, list(self.cubes))
 
     # -- semantics --------------------------------------------------------#
 
@@ -69,65 +79,76 @@ class Cover:
     # -- structure ----------------------------------------------------------#
 
     def cofactor_cube(self, cube: Cube) -> "Cover":
-        """Generalized (Shannon) cofactor of the cover w.r.t. a cube."""
-        result = Cover(self.num_vars)
+        """Generalized (Shannon) cofactor of the cover w.r.t. a cube:
+        every cube meeting ``cube``, with ``cube``'s bound variables
+        raised to don't-care."""
+        if cube.num_vars != self.num_vars:
+            raise ValueError("cube arity mismatch")
+        n = self.num_vars
+        low = LOW[n]
+        bits = cube.bits
+        raised = bound_mask(bits, n) * DC
+        out = []
         for c in self.cubes:
-            if c.intersect(cube).is_void():
-                continue
-            out = c
-            for var, value in cube.literals():
-                cf = out.cofactor(var, value)
-                if cf is None:
-                    out = None
-                    break
-                out = cf
-            if out is not None:
-                result.add(out)
-        return result
+            inter = c.bits & bits
+            if (inter | (inter >> 1)) & low == low:
+                out.append(Cube(n, c.bits | raised))
+        return Cover._of(n, out)
 
     def cofactor(self, var: int, value: int) -> "Cover":
         cube = Cube.universe(self.num_vars).with_literal(var, value)
         return self.cofactor_cube(cube)
 
     def remove_contained(self) -> "Cover":
-        """Single-cube containment removal (cheap cleanup)."""
+        """Single-cube containment removal (cheap cleanup).  Cubes are
+        kept largest first (fewest literals; ties in cover order)."""
         kept: List[Cube] = []
-        cubes = sorted(
-            self.cubes, key=lambda c: -c.minterm_count()
-        )
-        for cube in cubes:
-            if not any(other.contains(cube) for other in kept):
+        kept_bits: List[int] = []
+        for cube in sorted(self.cubes, key=Cube.num_literals):
+            bits = cube.bits
+            for other in kept_bits:
+                if other | bits == other:
+                    break
+            else:
                 kept.append(cube)
-        return Cover(self.num_vars, kept)
+                kept_bits.append(bits)
+        return Cover._of(self.num_vars, kept)
+
+    def _bound_counts(self, select: int) -> List[int]:
+        """Per variable, the number of cubes binding it, counted only
+        for the variables whose low field bit is in ``select``."""
+        n = self.num_vars
+        counts = [0] * (2 * n)  # indexed by the field's low bit
+        for cube in self.cubes:
+            mask = bound_mask(cube.bits, n) & select
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                counts[low.bit_length() - 1] += 1
+        return counts[::2]
 
     def binate_select(self) -> Optional[int]:
         """The most binate variable (appears in both polarities in the
         most cubes); None when the cover is unate.  URP splitting rule."""
-        pos = [0] * self.num_vars
-        neg = [0] * self.num_vars
+        n = self.num_vars
+        ones = zeros = 0
         for cube in self.cubes:
-            for var, value in cube.literals():
-                if value:
-                    pos[var] += 1
-                else:
-                    neg[var] += 1
-        best, best_score = None, -1
-        for var in range(self.num_vars):
-            if pos[var] and neg[var]:
-                score = pos[var] + neg[var]
-                if score > best_score:
-                    best, best_score = var, score
-        return best
+            bits = cube.bits
+            bound = bound_mask(bits, n)
+            ones |= bound & bits
+            zeros |= bound & ~bits
+        binate = ones & zeros
+        if not binate:
+            return None
+        counts = self._bound_counts(binate)
+        return max(range(n), key=counts.__getitem__)
 
     def most_bound_variable(self) -> Optional[int]:
         """The variable bound in the most cubes (unate splitting)."""
-        counts = [0] * self.num_vars
-        for cube in self.cubes:
-            for var, _value in cube.literals():
-                counts[var] += 1
+        counts = self._bound_counts(LOW[self.num_vars])
         if not any(counts):
             return None
-        return max(range(self.num_vars), key=lambda v: counts[v])
+        return max(range(self.num_vars), key=counts.__getitem__)
 
     def __len__(self) -> int:
         return len(self.cubes)

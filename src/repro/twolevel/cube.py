@@ -10,6 +10,21 @@ A cube over n variables packs two bits per variable:
 This is the representation behind espresso's cube operations; the paper's
 benchmark circuits were born as PLA covers minimized this way before
 multilevel synthesis, so the reproduction carries the same machinery.
+
+Every operation works on the whole word at once (positional-cube
+notation, Brayton et al., *Logic Minimization Algorithms for VLSI
+Synthesis*, 1984).  With ``LOW[n]`` the mask ``0b0101...01`` holding the
+low bit of each of the ``n`` fields:
+
+* a cube ``b`` is void iff ``(b | b >> 1) & LOW != LOW`` (some field has
+  neither bit);
+* its bound literals are the bits of ``(b ^ b >> 1) & LOW`` (fields 01
+  and 10), and bit ``2 * var`` of ``b`` is the literal's value;
+* the conflicts of cubes ``a`` and ``b`` -- the empty fields of their
+  intersection ``i = a & b`` -- are the bits of ``~(i | i >> 1) & LOW``.
+
+Bits are counted with ``bin(x).count("1")``: ``int`` gained its own
+popcount method only in Python 3.10, and the package supports 3.9.
 """
 
 from __future__ import annotations
@@ -21,6 +36,31 @@ ZERO = 0b10  # literal x'
 ONE = 0b01  # literal x
 DC = 0b11  # don't care
 EMPTY = 0b00
+
+
+class _LowMasks(dict):
+    """``LOW[n]``: the low bit of each of ``n`` fields, cached per width."""
+
+    def __missing__(self, num_vars: int) -> int:
+        mask = self[num_vars] = ((1 << (2 * num_vars)) - 1) // 3
+        return mask
+
+
+LOW = _LowMasks()
+
+
+def popcount(x: int) -> int:
+    return bin(x).count("1")
+
+
+def bound_mask(bits: int, num_vars: int) -> int:
+    """The low bit of every bound (01 or 10) field of ``bits``."""
+    return (bits ^ (bits >> 1)) & LOW[num_vars]
+
+
+def conflict_mask(inter: int, num_vars: int) -> int:
+    """The low bit of every empty (00) field of ``inter``."""
+    return ~(inter | (inter >> 1)) & LOW[num_vars]
 
 
 class Cube:
@@ -82,27 +122,25 @@ class Cube:
         return (self.bits >> (2 * var)) & 0b11
 
     def literals(self) -> Iterator[Tuple[int, int]]:
-        """Yield (var, value) for every bound literal."""
-        for var in range(self.num_vars):
-            f = self.field(var)
-            if f == ONE:
-                yield (var, 1)
-            elif f == ZERO:
-                yield (var, 0)
+        """Yield (var, value) for every bound literal, lowest var first."""
+        bits = self.bits
+        bound = bound_mask(bits, self.num_vars)
+        while bound:
+            low = bound & -bound
+            bound ^= low
+            pos = low.bit_length() - 1
+            yield (pos >> 1, (bits >> pos) & 1)
 
     def num_literals(self) -> int:
-        return sum(1 for _ in self.literals())
+        return popcount(bound_mask(self.bits, self.num_vars))
 
     # -- algebra ----------------------------------------------------------#
 
     def is_void(self) -> bool:
         """True if some variable field is empty (no minterms)."""
         bits = self.bits
-        for _ in range(self.num_vars):
-            if bits & 0b11 == EMPTY:
-                return True
-            bits >>= 2
-        return False
+        low = LOW[self.num_vars]
+        return (bits | (bits >> 1)) & low != low
 
     def intersect(self, other: "Cube") -> "Cube":
         """Cube intersection (may be void)."""
@@ -116,29 +154,16 @@ class Cube:
         """Number of variables where the cubes conflict (empty fields in
         the intersection).  distance 0 = cubes intersect; distance 1 =
         consensus exists."""
-        inter = self.bits & other.bits
-        count = 0
-        for _ in range(self.num_vars):
-            if inter & 0b11 == EMPTY:
-                count += 1
-            inter >>= 2
-        return count
+        return popcount(conflict_mask(self.bits & other.bits, self.num_vars))
 
     def consensus(self, other: "Cube") -> Optional["Cube"]:
         """The consensus cube when distance is exactly 1, else None."""
         inter = self.bits & other.bits
-        conflict_var = None
-        probe = inter
-        for var in range(self.num_vars):
-            if probe & 0b11 == EMPTY:
-                if conflict_var is not None:
-                    return None
-                conflict_var = var
-            probe >>= 2
-        if conflict_var is None:
+        conflict = conflict_mask(inter, self.num_vars)
+        if not conflict or conflict & (conflict - 1):
             return None
-        merged = inter | (DC << (2 * conflict_var))
-        return Cube(self.num_vars, merged)
+        # raise the one empty field to don't-care
+        return Cube(self.num_vars, inter | (conflict * DC))
 
     def supercube(self, other: "Cube") -> "Cube":
         """Smallest cube containing both."""

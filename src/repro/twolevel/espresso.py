@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .cube import Cube
+from .cube import DC, LOW, Cube, bound_mask
 from .cover import Cover
 from .urp import complement, cube_covered
 
@@ -40,22 +40,43 @@ def _cost(cover: Cover) -> Tuple[int, int]:
     return (len(cover.cubes), cover.num_literals())
 
 
+def _dontcare_cubes(num_vars: int, dontcare: Optional[Cover]) -> List[Cube]:
+    """The don't-care cubes every ``rest`` cover gets, checked once."""
+    if dontcare is None:
+        return []
+    return Cover(num_vars, dontcare.cubes).cubes
+
+
 def expand(cover: Cover, off: Cover) -> Cover:
     """Raise literals while staying disjoint from the OFF-set.
 
     Deterministic greedy: variables are tried in index order; a literal
     is raised if the enlarged cube still misses every OFF cube.
+
+    The cube keeps one conflict mask per OFF cube.  Raising a literal
+    empties that variable's field of the conflict, so the enlarged cube
+    misses every OFF cube iff no mask is 0 or exactly the literal's bit;
+    after a raise the bit leaves every mask.
     """
+    n = cover.num_vars
+    low = LOW[n]
+    off_bits = [r.bits for r in off.cubes]
     expanded: List[Cube] = []
     for cube in sorted(cover.cubes, key=lambda c: -c.num_literals()):
-        for var, _value in list(cube.literals()):
-            candidate = cube.without_literal(var)
-            if all(
-                candidate.intersect(r).is_void() for r in off.cubes
-            ):
-                cube = candidate
+        bits = cube.bits
+        inters = [bits & r for r in off_bits]
+        masks = [~(i | (i >> 1)) & low for i in inters]  # conflict masks
+        if 0 not in masks:
+            bound = bound_mask(bits, n)
+            while bound:
+                bit = bound & -bound
+                bound ^= bit
+                if bit not in masks:
+                    bits |= bit * DC
+                    masks = [m & ~bit for m in masks]
+            cube = Cube(n, bits)
         expanded.append(cube)
-    return Cover(cover.num_vars, expanded).remove_contained()
+    return Cover._of(n, expanded).remove_contained()
 
 
 def irredundant(cover: Cover, dontcare: Optional[Cover] = None) -> Cover:
@@ -64,18 +85,15 @@ def irredundant(cover: Cover, dontcare: Optional[Cover] = None) -> Cover:
     Greedy: cubes are considered largest-first so small cubes swallowed
     by big ones go first.
     """
+    n = cover.num_vars
+    dc = _dontcare_cubes(n, dontcare)
     cubes = sorted(cover.cubes, key=lambda c: c.minterm_count())
     kept = list(cubes)
     for cube in cubes:
-        rest = Cover(
-            cover.num_vars, [c for c in kept if c is not cube]
-        )
-        if dontcare is not None:
-            for d in dontcare.cubes:
-                rest.add(d)
+        rest = Cover._of(n, [c for c in kept if c is not cube] + dc)
         if cube_covered(cube, rest):
             kept.remove(cube)
-    return Cover(cover.num_vars, kept)
+    return Cover._of(n, kept)
 
 
 def reduce_cover(cover: Cover, dontcare: Optional[Cover] = None) -> Cover:
@@ -85,15 +103,11 @@ def reduce_cover(cover: Cover, dontcare: Optional[Cover] = None) -> Cover:
     supercube keeps correctness while freeing room for EXPAND to take a
     different direction next pass.
     """
+    n = cover.num_vars
+    dc = _dontcare_cubes(n, dontcare)
     current = list(cover.cubes)
     for i, cube in enumerate(list(current)):
-        rest = Cover(
-            cover.num_vars,
-            [c for j, c in enumerate(current) if j != i],
-        )
-        if dontcare is not None:
-            for d in dontcare.cubes:
-                rest.add(d)
+        rest = Cover._of(n, current[:i] + current[i + 1:] + dc)
         # essential = cube & complement(rest): compute via cofactor
         # complement in the subspace of the cube
         sub = complement(rest.cofactor_cube(cube))
@@ -106,7 +120,7 @@ def reduce_cover(cover: Cover, dontcare: Optional[Cover] = None) -> Cover:
         shrunk = essential_super.intersect(cube)
         if not shrunk.is_void():
             current[i] = shrunk
-    return Cover(cover.num_vars, current)
+    return Cover._of(n, current)
 
 
 def espresso(

@@ -8,8 +8,14 @@ with unate special cases terminating the recursion.
 from __future__ import annotations
 
 
-from .cube import Cube
+from .cube import DC, LOW, Cube
 from .cover import Cover
+
+
+def _has_universe(cover: Cover) -> bool:
+    """Is the all-don't-care cube in the cover?"""
+    full = LOW[cover.num_vars] * DC
+    return any(cube.bits == full for cube in cover.cubes)
 
 
 def is_tautology(cover: Cover) -> bool:
@@ -17,9 +23,8 @@ def is_tautology(cover: Cover) -> bool:
     cover = cover.remove_contained()
     if not cover.cubes:
         return False  # constant 0
-    for cube in cover.cubes:
-        if cube.num_literals() == 0:
-            return True  # universe cube present
+    if _has_universe(cover):
+        return True
     # unate reduction: a unate cover is a tautology iff it contains the
     # universe cube (checked above)
     split = cover.binate_select()
@@ -39,9 +44,8 @@ def complement(cover: Cover) -> Cover:
     # terminal cases
     if not cover.cubes:
         return Cover.tautology(cover.num_vars)
-    for cube in cover.cubes:
-        if cube.num_literals() == 0:
-            return Cover.empty(cover.num_vars)
+    if _has_universe(cover):
+        return Cover.empty(cover.num_vars)
     if len(cover.cubes) == 1:
         return _complement_cube(cover.cubes[0])
     split = cover.binate_select()
@@ -51,22 +55,18 @@ def complement(cover: Cover) -> Cover:
         return Cover.empty(cover.num_vars)
     neg = complement(cover.cofactor(split, 0))
     pos = complement(cover.cofactor(split, 1))
-    result = Cover(cover.num_vars)
-    for cube in neg.cubes:
-        result.add(cube.with_literal(split, 0))
-    for cube in pos.cubes:
-        result.add(cube.with_literal(split, 1))
-    return result.remove_contained()
+    result = [cube.with_literal(split, 0) for cube in neg.cubes]
+    result += [cube.with_literal(split, 1) for cube in pos.cubes]
+    return Cover._of(cover.num_vars, result).remove_contained()
 
 
 def _complement_cube(cube: Cube) -> Cover:
     """DeMorgan complement of a single cube (one cube per literal)."""
-    result = Cover(cube.num_vars)
-    for var, value in cube.literals():
-        result.add(
-            Cube.universe(cube.num_vars).with_literal(var, 1 - value)
-        )
-    return result
+    universe = Cube.universe(cube.num_vars)
+    return Cover._of(
+        cube.num_vars,
+        [universe.with_literal(var, 1 - value) for var, value in cube.literals()],
+    )
 
 
 def cube_covered(cube: Cube, cover: Cover) -> bool:

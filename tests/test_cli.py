@@ -65,6 +65,28 @@ def test_kms_rejects_an_empty_blif(tmp_path):
     assert proc.returncode != 0
     assert "declares no .outputs" in proc.stderr
     assert "equivalent=True" not in proc.stderr
+    # a one-line error with the code ``repro generate`` uses for a bad
+    # circuit name, not an escaped exception
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {empty}: the model declares no .outputs\n"
+
+
+@pytest.mark.parametrize("command", ["kms", "timing", "atpg", "aig"])
+def test_commands_reject_a_bad_table_row(tmp_path, capsys, command):
+    bad = tmp_path / "bad.blif"
+    bad.write_text(".model m\n.inputs a b\n.outputs y\n.names a b y\n1 1 1\n.end\n")
+    argv = [command, "stats", str(bad)] if command == "aig" else [command, str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: bad table row")
+    assert err.count("\n") == 1
+
+
+def test_kms_rejects_a_missing_file(tmp_path, capsys):
+    missing = tmp_path / "missing.blif"
+    assert main(["kms", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
 
 def test_timing_command(csa_blif, capsys):
