@@ -14,6 +14,9 @@ payload*, not here:
 * each gated counter (payload ``gated_counters``) may grow by at most
   ``tolerance`` (relative) plus an absolute slack of 2 for near-zero
   counts;
+* a gated counter missing from a current row fails the gate: the
+  bench no longer produces it, so the baseline gates a dead name and
+  must be regenerated;
 * a baseline row missing from the fresh results fails the gate; new
   rows are reported but pass (extending a suite should not require a
   simultaneous baseline bump to land);
@@ -109,8 +112,15 @@ def compare(
         base_counters = base_row[result_key]["counters"]
         cur_counters = cur_row[result_key]["counters"]
         for counter in gated:
+            if counter not in cur_counters:
+                failures.append(
+                    f"{name}: gated counter {counter} missing from current "
+                    f"results; regenerate the baseline"
+                )
+                table.append(f"| {name} | {counter} | — | — | missing ❌ |")
+                continue
             base_value = base_counters.get(counter, 0)
-            cur_value = cur_counters.get(counter, 0)
+            cur_value = cur_counters[counter]
             limit = base_value * (1.0 + tolerance) + ABSOLUTE_SLACK
             marker = ""
             status = "changed"

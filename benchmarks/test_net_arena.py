@@ -10,9 +10,10 @@ claims under test:
   change, never an algorithm change;
 * **rebuild-work reduction** -- over the scaling suite the legacy path
   performs at least 5x more compiled-schedule rebuild work
-  (``compile_rebuilds``) than the arena path (whose zero-copy view only
-  pays ``arena_full_builds`` full constructions and otherwise counts
-  ``compile_rebuilds_avoided``);
+  (``compile_rebuilds``) than the arena path.  There the loop's
+  zero-copy view pays one ``arena_full_builds`` construction per call
+  and otherwise counts ``compile_rebuilds_avoided``; the cleanup runs
+  on a copy with no arena, so its compiles count on both sides;
 * the deterministic arena work counters and (non-gating) wall times
   land in ``BENCH_arena.json``, which the ``arena`` row of the
   matrix-driven ``perf-gate`` CI job compares against
@@ -48,7 +49,6 @@ GATED_COUNTERS = (
     "arena_compactions",
     "array_ops_inplace",
     "compile_rebuilds_avoided",
-    "fingerprint_rehashes",
 )
 
 #: rows accumulate across parametrized tests; the emitter test runs last.
@@ -162,8 +162,9 @@ def test_zz_emit_bench_json_and_rebuild_claim():
     }
     if len(scaling) == len(SCALING_SIZES):
         # rebuild work: legacy pays a full schedule compile per stale
-        # kernel hit; the arena pays only its full array builds and
-        # otherwise refreshes the zero-copy view in place.
+        # kernel hit; the arena side pays its one array build per call
+        # plus the cleanup's compiles, and otherwise serves the loop's
+        # zero-copy view in place.
         legacy_work = sum(
             r["legacy"]["counters"]["compile_rebuilds"] for r in scaling
         )

@@ -160,7 +160,9 @@ def remove_redundancies(
     collapsed-fault order; the scan stops at that fault instead of
     proving the whole list, and random-pattern fault simulation skips
     proofs for easily-testable faults.  The input circuit is not
-    modified; the result holds the transformed copy.
+    modified; the result holds the transformed copy.  The copy carries
+    no arena, so its fault simulation runs on the compiled kernel of
+    :func:`repro.sim.get_compiled`, recompiled once per removal.
 
     ``incremental`` selects the persistent proof engine (default) or the
     from-scratch oracle.  Both take the same steps whatever ``patterns``
@@ -174,13 +176,6 @@ def remove_redundancies(
     """
     window = Window()
     work = circuit.copy(f"{circuit.name}#irr")
-    # Removal mutates `work` once per redundancy; the arena keeps the
-    # flat simulation/fingerprint/cone state fresh in place across all
-    # of it.  REPRO_NET_LEGACY=1 keeps the object-graph path verbatim.
-    from ..net import attach_arena, net_enabled
-
-    if net_enabled():
-        attach_arena(work)
     steps: List[RemovalStep] = []
     engine = None
     if incremental:

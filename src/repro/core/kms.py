@@ -155,11 +155,12 @@ def kms(
     work = circuit.copy(f"{circuit.name}#kms")
     from ..net import attach_arena, net_enabled
 
-    # The working copy is where all the mutation happens; attach the
-    # struct-of-arrays arena so every transform maintains the flat
-    # representation (simulation schedule, fingerprints, cones) in
-    # place.  REPRO_NET_LEGACY=1 skips the attach and the whole run
-    # falls back to the object-graph path -- the A/B oracle.
+    # The loop edits the working copy a little per iteration and
+    # simulates it once per iteration (the loop test's 64 patterns);
+    # the arena keeps that simulation schedule fresh in place instead of
+    # recompiling it.  The cleanup copies the circuit, and its copy has
+    # no arena.  REPRO_NET_LEGACY=1 skips the attach, so the loop
+    # recompiles the object-graph kernel instead -- the A/B oracle.
     if net_enabled():
         attach_arena(work)
 

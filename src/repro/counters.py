@@ -93,7 +93,6 @@ GLOSSARY: Dict[str, str] = {
         "schedule rebuilds the arena's zero-copy view skipped where the "
         "object-graph kernel would have recompiled"
     ),
-    "fingerprint_rehashes": "per-gate fingerprint digest recomputations",
 }
 
 _totals: Dict[str, int] = dict.fromkeys(GLOSSARY, 0)

@@ -57,9 +57,7 @@ def gate_fingerprint(
 
     The single-gate step of :func:`gate_fingerprints`: a digest of the
     gate's own attributes and its fanins' digests, so it depends solely
-    on the gate's fanin cone.  The arena (:mod:`repro.net.arena`) hashes
-    the same seed layout when it re-hashes a dirty cone, and tests
-    replay this step to check it.
+    on the gate's fanin cone.
     """
     gate = circuit.gates[gid]
     if gate.gtype is GateType.INPUT:
@@ -88,15 +86,7 @@ def gate_fingerprints(circuit: Circuit) -> Dict[int, str]:
     Two gates get equal fingerprints iff their transitive-fanin cones are
     structurally identical (types, delays, pin order, arrivals) up to
     renaming/renumbering.
-
-    A circuit with an attached :class:`repro.net.arena.NetArena` answers
-    from the arena's incrementally maintained digest cache (bit-identical
-    by construction; only hook-recorded dirty cones are re-hashed)
-    instead of re-walking the object graph.
     """
-    arena = getattr(circuit, "_arena", None)
-    if arena is not None:
-        return dict(arena.gate_fps())
     pi_index = {gid: i for i, gid in enumerate(circuit.inputs)}
     po_index = {gid: i for i, gid in enumerate(circuit.outputs)}
     fps: Dict[int, str] = {}
@@ -106,15 +96,7 @@ def gate_fingerprints(circuit: Circuit) -> Dict[int, str]:
 
 
 def circuit_fingerprint(circuit: Circuit) -> str:
-    """Canonical content hash of a whole circuit (hex sha256).
-
-    Arena-attached circuits answer from the maintained digest cache
-    (see :func:`gate_fingerprints`); the object-graph walk below stays
-    the verbatim oracle for everything else.
-    """
-    arena = getattr(circuit, "_arena", None)
-    if arena is not None:
-        return arena.fingerprint()
+    """Canonical content hash of a whole circuit (hex sha256)."""
     fps = gate_fingerprints(circuit)
     body = (
         SCHEME,

@@ -1,9 +1,9 @@
-"""repro.net — arena-based struct-of-arrays netlist (source of truth).
+"""repro.net — the KMS loop's struct-of-arrays simulation schedule.
 
 See :mod:`repro.net.arena` for the full story; the object
-:class:`~repro.network.circuit.Circuit` remains the import/export
-boundary while the arena's parallel arrays feed simulation,
-fingerprinting, and cone queries at O(touched) maintenance cost.
+:class:`~repro.network.circuit.Circuit` stays the source of truth,
+and the arena's parallel arrays feed only the simulation of
+:func:`repro.core.kms`'s working copy, at O(touched) maintenance cost.
 """
 
 from .arena import (  # noqa: F401

@@ -111,8 +111,9 @@ class Circuit:
         #: the network.
         self._version = 0
         #: attached :class:`repro.net.arena.NetArena` mirroring this
-        #: circuit as struct-of-arrays, or None.  Every mutation
-        #: primitive notifies it so the flat arrays stay fresh in place.
+        #: circuit's simulation schedule as struct-of-arrays, or None.
+        #: Every structural primitive and :meth:`set_gate_type` notify
+        #: it so the flat arrays stay fresh in place.
         self._arena = None
         #: the sets handed out by :meth:`record_touched`; every mutation
         #: primitive adds the gids it touched to each of them.
@@ -140,7 +141,7 @@ class Circuit:
         self._dirty()
         self._touch(gid)
         if self._arena is not None:
-            self._arena.on_add_gate(gid, gtype, delay)
+            self._arena.on_add_gate(gid, gtype)
         return gid
 
     def add_input(self, name: str, arrival: float = 0.0) -> int:
@@ -170,7 +171,7 @@ class Circuit:
         self._dirty()
         self._touch(src, dst)
         if self._arena is not None:
-            self._arena.on_connect(cid, src, dst, delay)
+            self._arena.on_connect(cid, src, dst)
         return cid
 
     def add_simple(
@@ -233,11 +234,10 @@ class Circuit:
     # ------------------------------------------------------------------ #
     # attribute setters
     # ------------------------------------------------------------------ #
-    # Each records the gate it changed and notifies an attached arena so
-    # the flat arrays never go stale.
-    # Only a retype bumps :attr:`version`: the compiled kernel's opcodes
-    # and the proof engine's epoch CNF read gate types, while neither
-    # reads delays or arrival times.
+    # Each records the gate it changed.  Only a retype bumps
+    # :attr:`version` and notifies an attached arena: the compiled
+    # kernels' opcodes and the proof engine's epoch CNF read gate types,
+    # while none of them reads delays or arrival times.
 
     def set_gate_type(self, gid: int, gtype: GateType) -> None:
         """Retype a gate in place (constant-propagation degenerations)."""
@@ -251,23 +251,17 @@ class Circuit:
         """Set a gate's delay ``d(g)`` in place."""
         self.gates[gid].delay = delay
         self._touch(gid)
-        if self._arena is not None:
-            self._arena.on_set_gate_delay(gid, delay)
 
     def set_connection_delay(self, cid: int, delay: float) -> None:
         """Set a connection's delay ``d(c)`` in place."""
         conn = self.conns[cid]
         conn.delay = delay
         self._touch(conn.dst)
-        if self._arena is not None:
-            self._arena.on_set_conn_delay(cid, delay)
 
     def set_input_arrival(self, gid: int, arrival: float) -> None:
         """Set a primary input's arrival time."""
         self.input_arrival[gid] = arrival
         self._touch(gid)
-        if self._arena is not None:
-            self._arena.on_set_arrival(gid, arrival)
 
     # ------------------------------------------------------------------ #
     # touched-gate records
@@ -403,8 +397,6 @@ class Circuit:
 
     def transitive_fanin(self, gids: Iterable[int]) -> set:
         """Set of gids in the transitive fanin of ``gids`` (inclusive)."""
-        if self._arena is not None:
-            return self._arena.transitive_fanin(gids)
         seen = set()
         stack = list(gids)
         while stack:
@@ -417,8 +409,6 @@ class Circuit:
 
     def transitive_fanout(self, gids: Iterable[int]) -> set:
         """Set of gids in the transitive fanout of ``gids`` (inclusive)."""
-        if self._arena is not None:
-            return self._arena.transitive_fanout(gids)
         seen = set()
         stack = list(gids)
         while stack:

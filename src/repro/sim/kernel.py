@@ -771,11 +771,12 @@ def get_compiled(circuit: Circuit):
     clean; ``Circuit.copy`` does not carry it over), so every consumer
     of the same mutating circuit shares one schedule.
 
-    A circuit with an attached :class:`repro.net.arena.NetArena` gets
-    the zero-copy :class:`ArenaCompiledCircuit` view instead of a
-    rebuilt schedule (detach the arena -- or never attach one, e.g.
-    under ``REPRO_NET_LEGACY=1`` -- and this falls back to the legacy
-    :class:`CompiledCircuit` path verbatim).
+    A circuit with an attached :class:`repro.net.arena.NetArena` (only
+    :func:`repro.core.kms` attaches one, to the loop's working copy)
+    gets the zero-copy :class:`ArenaCompiledCircuit` view instead of a
+    rebuilt schedule.  Every other circuit -- the cleanup's copy
+    included, and every circuit under ``REPRO_NET_LEGACY=1`` -- gets
+    the :class:`CompiledCircuit` path.
     """
     kern = getattr(circuit, "_compiled_kernel", None)
     arena = getattr(circuit, "_arena", None)

@@ -20,23 +20,6 @@ from ..network import Builder, Circuit, GateType
 from .optimize import area_optimize
 
 
-def _tree(builder: Builder, gtype: GateType, srcs: List[int], delay: float):
-    """Balanced 2-input tree of ``gtype`` (non-inverting types only)."""
-    level = list(srcs)
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(
-                builder.circuit.add_simple(
-                    gtype, [level[i], level[i + 1]], delay
-                )
-            )
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
-
-
 class _Mapper:
     def __init__(
         self,

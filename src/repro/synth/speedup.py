@@ -160,6 +160,9 @@ def speed_up(
             stats.delay_after = stats.delay_before
         return work, stats
 
+    # Every step below preserves each output's function, and the
+    # variable order is the PI order, so one build serves every output.
+    bdd, nodes = circuit_bdds(work)
     attempted = set()
     for _ in range(max_iterations):
         stats.iterations += 1
@@ -173,7 +176,8 @@ def speed_up(
         po = candidates[0]
         attempted.add(po)
         improved = _rebuild_output(
-            work, po, ann.arrival[po], model, allow_bypass, gate_delay, stats
+            work, po, bdd, nodes[po], ann.arrival[po], model, allow_bypass,
+            gate_delay, stats,
         )
         area_optimize(work)
         if not improved and len(attempted) >= len(work.outputs):
@@ -186,16 +190,17 @@ def speed_up(
 def _rebuild_output(
     work: Circuit,
     po: int,
+    bdd: BDD,
+    func: int,
     old_arrival: float,
     model: DelayModel,
     allow_bypass: bool,
     gate_delay: float,
     stats: SpeedupStats,
 ) -> bool:
-    """Try to rebuild one output cone, whose current arrival is
-    ``old_arrival``; returns True if kept."""
-    bdd, nodes = circuit_bdds(work)
-    func = nodes[po]
+    """Try to rebuild output ``po``, whose function is ``func`` in
+    ``bdd`` and whose current arrival is ``old_arrival``; returns True
+    if kept."""
     if func in (bdd.ZERO, bdd.ONE):
         return False
     pi_arrival = {

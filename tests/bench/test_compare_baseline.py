@@ -49,3 +49,14 @@ def test_baseline_without_declared_keys_fails_clearly(tmp_path):
     assert result.returncode == 1
     assert "declares no gated_counters" in result.stderr
     assert "regenerate it" in result.stderr
+
+
+def test_gated_counter_missing_from_current_fails(tmp_path):
+    declared = {"result_key": "incremental",
+                "gated_counters": ["sat_proofs", "retired_counter"]}
+    baseline = _payload(10, **declared)
+    baseline["rows"][0]["incremental"]["counters"]["retired_counter"] = 0
+    result = _gate(tmp_path, _payload(10), baseline)
+    assert result.returncode == 1
+    assert ("csa 2.2: gated counter retired_counter missing from current "
+            "results; regenerate the baseline") in result.stderr

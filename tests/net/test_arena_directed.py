@@ -5,18 +5,20 @@ these tests pin the mechanisms themselves: free-list slot reuse,
 compaction under live iteration, Pearce-Kelly order repair, the
 ``Circuit.version`` invalidation edge cases the proof engine depends
 on, plain-list storage checked against the numpy reference simulator,
-and the env-level legacy switch.
+the env-level legacy switch, and where the arena lives: on the KMS
+loop's working copy only, never on the cleanup's.
 """
 
 import random
 
 import pytest
 
-from repro.atpg import collapsed_faults
+from repro.atpg import collapsed_faults, remove_redundancies
 from repro.circuits import random_circuit
 from repro.circuits.adders import carry_skip_adder
 from repro.core import kms
 from repro.counters import Window
+from repro.fuzz.plant import plant_redundancies
 from repro.net import (
     LEGACY_ENV,
     attach_arena,
@@ -30,6 +32,7 @@ from repro.network.circuit import CircuitError
 from repro.sim import get_compiled
 from repro.sim.kernel import ArenaCompiledCircuit, CompiledCircuit
 from repro.sim import kernel as kernel_mod
+from repro.timing import AsBuiltDelayModel, UnitDelayModel
 
 from ..sim import numpy_reference
 
@@ -43,6 +46,25 @@ def _chain_circuit(n=4):
         g = c.add_simple(GateType.NOT, [g], 1.0)
     c.add_output("y", g)
     return c
+
+
+def _assert_view_matches_copy(circuit):
+    """The attached arena mirrors ``circuit``, and its view simulates
+    like a schedule compiled from a copy: the same good words and the
+    same detecting mask for every collapsed fault."""
+    get_arena(circuit).check()
+    view = get_compiled(circuit)
+    assert isinstance(view, ArenaCompiledCircuit)
+    ref = CompiledCircuit(circuit.copy())
+    rng = random.Random(len(circuit.gates))
+    packed = {g: rng.getrandbits(64) for g in circuit.inputs}
+    assert view.evaluate(packed, 64) == ref.evaluate(packed, 64)
+    view_words = view.evaluate_words(packed, 64)
+    ref_words = ref.evaluate_words(packed, 64)
+    for fault in collapsed_faults(circuit):
+        assert view.detecting_word(
+            fault, view_words, 64
+        ) == ref.detecting_word(fault, ref_words, 64), fault
 
 
 # ---------------------------------------------------------------------- #
@@ -101,7 +123,6 @@ def test_compaction_fires_and_preserves_state(monkeypatch):
     )
     arena = attach_arena(c)
     window = Window()
-    fp_before_each_step = []
     removable = [
         gid
         for gid, gate in sorted(c.gates.items())
@@ -118,8 +139,7 @@ def test_compaction_fires_and_preserves_state(monkeypatch):
             continue
         c.remove_gate(gid)
         compactions = window.delta()["arena_compactions"]
-        arena.check()
-        fp_before_each_step.append(arena.fingerprint())
+        _assert_view_matches_copy(c)
     # force the rest dead via sweep until the threshold trips
     from repro.network.transform import sweep
 
@@ -134,16 +154,13 @@ def test_compaction_fires_and_preserves_state(monkeypatch):
     assert [arena.rank[s] for s in arena.sched_order] == list(
         range(arena.n_live_gates)
     )
-    arena.check()
+    _assert_view_matches_copy(c)
 
 
 def test_compaction_under_live_iteration():
-    """Mutating and compacting mid-run must not disturb fingerprints,
-    cones, or the simulation view."""
+    """Compacting mid-run must not disturb the simulation view."""
     c = carry_skip_adder(8, 2)
     arena = attach_arena(c)
-    from repro.engine.hashing import circuit_fingerprint
-
     kern = get_compiled(c)
     packed = {gid: 0 for gid in c.inputs}
     before_words = kern.evaluate(packed, 8)
@@ -152,7 +169,8 @@ def test_compaction_under_live_iteration():
     # same kernel object keeps working (slots renumbered underneath)
     after_words = kern.evaluate(packed, 8)
     assert before_words == after_words
-    assert circuit_fingerprint(c) == arena.fingerprint()
+    assert get_compiled(c) is kern
+    _assert_view_matches_copy(c)
 
 
 # ---------------------------------------------------------------------- #
@@ -207,25 +225,23 @@ def test_maintained_order_stays_topological_under_random_growth():
 
 def test_setters_do_not_bump_version_but_update_arena():
     """The delay and arrival setters mirror plain attribute writes: no
-    version bump (neither the kernel nor the epoch CNF reads delays),
-    yet the arena arrays and fingerprints move."""
+    version bump and no arena edit (neither the kernels nor the epoch
+    CNF read delays or arrival times), and the arena view still
+    simulates like a fresh schedule."""
     c = _chain_circuit()
-    arena = attach_arena(c)
-    fp0 = arena.fingerprint()
+    attach_arena(c)
     v0 = c.version
-    av0 = arena.version
+    window = Window()
     gid = next(
         g for g, gate in c.gates.items() if gate.gtype is GateType.AND
     )
     c.set_gate_delay(gid, 9.0)
     assert c.version == v0, "setter must not bump Circuit.version"
-    assert arena.version > av0, "arena must see the edit"
-    assert arena.gdelay[arena.slot_of[gid]] == 9.0
-    assert arena.fingerprint() != fp0
     c.set_connection_delay(c.gates[gid].fanin[0], 2.5)
     c.set_input_arrival(c.inputs[0], 4.0)
     assert c.version == v0
-    arena.check()
+    assert window.delta()["array_ops_inplace"] == 0
+    _assert_view_matches_copy(c)
 
 
 def test_structural_primitives_bump_version_with_arena_attached():
@@ -278,10 +294,7 @@ def test_arena_view_counts_avoided_rebuilds():
 # ---------------------------------------------------------------------- #
 
 #: the arena's scalar arrays, plain Python lists
-SCALAR_ARRAYS = (
-    "gt", "evalop", "gdelay", "arrival", "rank",
-    "csrc", "cdst", "cdelay", "cpin",
-)
+SCALAR_ARRAYS = ("gt", "evalop", "rank", "csrc", "cdst", "cpin")
 
 
 @pytest.mark.skipif(numpy_reference.np is None, reason="numpy not installed")
@@ -313,13 +326,16 @@ def test_backend_env_selection(monkeypatch):
     # environment, even an unknown one, neither fails nor changes what
     # the arena builds
     monkeypatch.delenv("REPRO_NET_BACKEND", raising=False)
-    expected = attach_arena(_chain_circuit()).fingerprint()
+    plain = attach_arena(_chain_circuit())
+    expected = {name: getattr(plain, name) for name in SCALAR_ARRAYS}
     for value in ("python", "numpy", "bogus"):
         monkeypatch.setenv("REPRO_NET_BACKEND", value)
-        arena = attach_arena(_chain_circuit())
+        c = _chain_circuit()
+        arena = attach_arena(c)
         for name in SCALAR_ARRAYS:
             assert type(getattr(arena, name)) is list, name
-        assert arena.fingerprint() == expected
+            assert getattr(arena, name) == expected[name], name
+        _assert_view_matches_copy(c)
 
 
 def test_net_enabled_env_switch(monkeypatch):
@@ -331,19 +347,41 @@ def test_net_enabled_env_switch(monkeypatch):
     assert not net_enabled()
 
 
-def test_kms_attaches_arena_only_when_enabled(monkeypatch):
-    c = carry_skip_adder(4, 2)
-    from repro.network.transform import decompose_complex_gates
+def _loop_subjects():
+    """csa 4.2 and planted scenario 0 with the e2e workloads' delay
+    models: 2 loop iterations then 5 cleanup steps, and 108 then 11."""
+    yield carry_skip_adder(4, 2), UnitDelayModel(use_arrival_times=False)
+    base = random_circuit(8, 50, 3, seed=0x5EED)
+    planted = plant_redundancies(base, plants=8, seed=0, variant="degrading")
+    yield planted.circuit, AsBuiltDelayModel()
 
-    decompose_complex_gates(c)
-    monkeypatch.setenv(LEGACY_ENV, "1")
-    legacy = kms(c)
-    assert legacy.counters["array_ops_inplace"] == 0
-    monkeypatch.delenv(LEGACY_ENV, raising=False)
-    backed = kms(c)
-    assert backed.counters["array_ops_inplace"] > 0
-    assert backed.counters["arena_full_builds"] >= 1
-    assert get_arena(backed.circuit) is not None
+
+def test_kms_attaches_arena_only_when_enabled(monkeypatch):
+    """One arena per kms() call, on the loop's working copy: it serves
+    every iteration's simulation, while the cleanup's copy compiles its
+    own kernel once, then once more per removal."""
+    for circuit, model in _loop_subjects():
+        monkeypatch.delenv(LEGACY_ENV, raising=False)
+        backed = kms(circuit, mode="static", model=model)
+        assert backed.iterations > 0 and backed.cleanup_steps > 0
+        assert backed.counters["arena_full_builds"] == 1
+        assert backed.counters["compile_rebuilds_avoided"] == (
+            backed.iterations
+        )
+        assert backed.counters["compile_rebuilds"] == (
+            backed.cleanup_steps + 1
+        )
+        assert get_arena(backed.circuit) is None
+        monkeypatch.setenv(LEGACY_ENV, "1")
+        legacy = kms(circuit, mode="static", model=model)
+        assert legacy.counters["arena_full_builds"] == 0
+        assert legacy.counters["compile_rebuilds"] == (
+            legacy.iterations + legacy.cleanup_steps + 2
+        )
+        monkeypatch.delenv(LEGACY_ENV)
+        cleanup = remove_redundancies(circuit)
+        assert cleanup.counters["arena_full_builds"] == 0
+        assert cleanup.counters["compile_rebuilds"] == len(cleanup.steps) + 1
 
 
 def test_attach_is_idempotent_and_copy_starts_clean():
@@ -355,12 +393,10 @@ def test_attach_is_idempotent_and_copy_starts_clean():
 
 
 # ---------------------------------------------------------------------- #
-# interface mutations (PI/PO index shifts force a full re-hash)
+# interface mutations (PI/PO removals move the arrays and po_slots)
 # ---------------------------------------------------------------------- #
 
 def test_pi_removal_shifts_indexes_and_rehashes():
-    from repro.engine.hashing import circuit_fingerprint
-
     c = Circuit("pi-shift")
     a = c.add_input("a")
     b = c.add_input("b")
@@ -368,22 +404,19 @@ def test_pi_removal_shifts_indexes_and_rehashes():
     c.add_output("y", g)
     dangling = c.add_input("z")
     arena = attach_arena(c)
-    arena.fingerprint()
+    slot = arena.slot_of[dangling]
     c.remove_gate(dangling)  # PI list shrinks; indexes shift
-    arena.check()
-    assert arena.fingerprint() == circuit_fingerprint(c.copy())
+    assert arena.free_slots == [slot]
+    _assert_view_matches_copy(c)
 
 
 def test_output_marker_removal_rehashes():
-    from repro.engine.hashing import circuit_fingerprint
-
     c = Circuit("po-shift")
     a = c.add_input("a")
     g = c.add_simple(GateType.NOT, [a], 1.0)
     c.add_output("y0", g)
     po1 = c.add_output("y1", g)
     arena = attach_arena(c)
-    arena.fingerprint()
     c.remove_gate(po1)
-    arena.check()
-    assert arena.fingerprint() == circuit_fingerprint(c.copy())
+    assert len(arena.po_slots) == 1
+    _assert_view_matches_copy(c)

@@ -7,8 +7,6 @@ to the other.  After every mutation step the two worlds must agree on:
 
 * **structure** -- :meth:`NetArena.check` (slot arrays vs gate/conn
   dicts, pin order, maintained topological order);
-* **fingerprints** -- the arena's incrementally re-hashed digests equal
-  the verbatim object-graph Merkle walk, per gate and whole-circuit;
 * **touched-gate records** -- the circuits' mutation primitives record
   identical gates with and without the arena attached (the hooks must
   not perturb the transforms);
@@ -30,11 +28,7 @@ import pytest
 
 from repro.circuits import random_circuit, random_redundant_circuit
 from repro.core import kms
-from repro.engine.hashing import (
-    SCHEME,
-    _digest,
-    gate_fingerprint,
-)
+from repro.engine.hashing import circuit_fingerprint
 from repro.net import attach_arena
 from repro.network import GateType
 from repro.network.transform import (
@@ -59,37 +53,8 @@ CIRCUITS_PER_BATCH = 25
 
 
 # ---------------------------------------------------------------------- #
-# oracles (verbatim object-graph walks, bypassing any arena routing)
+# oracles
 # ---------------------------------------------------------------------- #
-
-def _walk_fps(circuit):
-    """The legacy Merkle walk of ``engine.hashing.gate_fingerprints``,
-    inlined so it never routes through an attached arena."""
-    pi_index = {gid: i for i, gid in enumerate(circuit.inputs)}
-    po_index = {gid: i for i, gid in enumerate(circuit.outputs)}
-    fps = {}
-    for gid in circuit.topological_order():
-        fps[gid] = gate_fingerprint(circuit, gid, fps, pi_index, po_index)
-    return fps
-
-
-def _walk_circuit_fp(circuit):
-    fps = _walk_fps(circuit)
-    body = (
-        SCHEME,
-        len(circuit.gates),
-        len(circuit.conns),
-        tuple(fps[gid] for gid in circuit.outputs),
-        tuple(sorted(fps.values())),
-    )
-    return _digest(body)
-
-
-def _assert_arena_matches(circuit, arena):
-    arena.check()
-    assert arena.gate_fps() == _walk_fps(circuit)
-    assert arena.fingerprint() == _walk_circuit_fp(circuit)
-
 
 def _assert_sta_matches(sta, circuit):
     fresh = IncrementalSTA(circuit, MODEL)
@@ -185,8 +150,7 @@ def _random_subject(rng, index):
 
 @pytest.mark.parametrize("batch", range(BATCHES))
 def test_arena_mirrors_object_graph_under_mutation(batch):
-    """Structure + fingerprints + touched-gate records, arena vs bare
-    twin."""
+    """Structure + touched-gate records, arena vs bare twin."""
     rng = random.Random(7000 + batch)
     for index in range(CIRCUITS_PER_BATCH):
         base = _random_subject(rng, index)
@@ -197,7 +161,7 @@ def test_arena_mirrors_object_graph_under_mutation(batch):
         with_arena = base.copy()
         bare = base.copy()
         arena = attach_arena(with_arena)
-        _assert_arena_matches(with_arena, arena)
+        arena.check()
         record_a = with_arena.record_touched()
         record_b = bare.record_touched()
 
@@ -209,9 +173,9 @@ def test_arena_mirrors_object_graph_under_mutation(batch):
             assert record_a == record_b, "touched-gate records diverged"
             record_a.clear()
             record_b.clear()
-            _assert_arena_matches(with_arena, arena)
+            arena.check()
         # the twins themselves must still be structurally identical
-        assert _walk_circuit_fp(with_arena) == _walk_circuit_fp(bare)
+        assert circuit_fingerprint(with_arena) == circuit_fingerprint(bare)
 
 
 @pytest.mark.parametrize("batch", range(4))
@@ -259,7 +223,7 @@ def test_kms_arena_bit_identical_to_legacy_oracle(seed, monkeypatch):
         for e in legacy_run.events
     ]
     assert arena_run.cleanup_steps == legacy_run.cleanup_steps
-    assert _walk_circuit_fp(arena_run.circuit) == _walk_circuit_fp(
+    assert circuit_fingerprint(arena_run.circuit) == circuit_fingerprint(
         legacy_run.circuit
     )
     for key in (
