@@ -38,16 +38,18 @@ MCNC_MODEL = UnitDelayModel()
 CSA_UNION = sorted(set(CSA_SIZES) | set(SCALING_SIZES))
 
 #: Counters whose totals the CI perf gate protects against regression:
-#: the loop's timing work and the gate definitions its run-long SAT
-#: solver encodes (``loop_gate_encodings``), plus the cleanup's fault
-#: grading (``gate_evals_faulty``) and the SAT calls of both phases --
-#: on the MCNC rows the cleanup dominates.
+#: the loop's timing work and the gate and selection definitions its
+#: run-long SAT solver encodes (``loop_gate_encodings``,
+#: ``loop_select_encodings``), plus the cleanup's fault grading
+#: (``gate_evals_faulty``) and the SAT calls of both phases -- on the
+#: MCNC rows the cleanup dominates.
 GATED_COUNTERS = (
     "arrival_relaxations",
     "dist_relaxations",
     "paths_enumerated",
     "viability_checks_exact",
     "loop_gate_encodings",
+    "loop_select_encodings",
     "gate_evals_faulty",
     "sat_calls",
 )

@@ -250,16 +250,22 @@ def _find_unsensitizable_longest_path(
 
     With ``timing`` (incremental mode) the exit condition is one
     question over every longest path at once
-    (:meth:`IncrementalTiming.check_path`).  Without it, every longest
-    path is enumerated and checked on a freshly built exact checker --
-    the per-path reference.  Either way the loop operates on the first
-    path the enumerator yields, so both modes take the same steps.
+    (:meth:`IncrementalTiming.check_path`), and the enumerator expands
+    only the critical map that question kept, which yields the same
+    first path.  Without it, every longest path is enumerated and
+    checked on a freshly built exact checker -- the per-path reference.
+    Either way the loop operates on the first path the enumerator
+    yields, so both modes take the same steps.
     """
     if timing is not None:
         if timing.check_path():
             return None
         count("paths_enumerated")
-        return next(iter_paths_longest_first(work, model, annotation))
+        return next(
+            iter_paths_longest_first(
+                work, model, annotation, within=timing.critical
+            )
+        )
     checker = (
         ViabilityChecker(work, model, annotation=annotation)
         if mode == VIABILITY
@@ -305,10 +311,12 @@ def _eliminate_path(
             length=path.length,
         )
         if checked:
-            # Theorem 7.1: duplication must not change the delay.  P is
-            # a longest path, so its length is the delay before.
+            # Theorem 7.1: duplication must not raise the delay.  P is
+            # a longest path, so its length is the delay before.  A
+            # load-dependent model may lower it: moving e onto n'
+            # lightens n.
             after = topological_delay(work, model)
-            if abs(after - path.length) > EPS:
+            if after > path.length + EPS:
                 raise KmsError(
                     f"duplication changed the delay: "
                     f"{path.length:g} -> {after:g}"

@@ -68,6 +68,11 @@ GLOSSARY: Dict[str, str] = {
         "gate definitions the loop test's solver encoded: every gate at "
         "each (re)build, plus each gate re-encoded after a change"
     ),
+    "loop_select_encodings": (
+        "selection definitions the loop test's solver encoded: every "
+        "critical connection at each (re)build, plus each one whose "
+        "in-edges or constraints changed"
+    ),
     # repro.atpg.proofengine
     "faults_requalified": (
         "faults an epoch grades for lack of a verdict on the current "

@@ -177,6 +177,16 @@ REBUILD_RATIO = 3
 #: gate type plus the ordered fanin source gids: what a definition encodes.
 Signature = Tuple[GateType, Tuple[int, ...]]
 
+#: critical connection -> its side-input constraints, each a
+#: (source gid, required value) pair.
+Selections = Dict[int, Tuple[Tuple[int, int], ...]]
+
+#: what a selection definition encodes: the critical in-edges of the
+#: connection's source (None for a PI source) and its constraints.
+SelectSignature = Tuple[
+    Optional[Tuple[int, ...]], Tuple[Tuple[int, int], ...]
+]
+
 
 class CircuitSolver:
     """One incremental solver that follows a mutating circuit.
@@ -184,29 +194,42 @@ class CircuitSolver:
     The KMS loop asks its SAT question once per iteration, and each
     iteration changes only a duplicated chain and a constant cone.  So
     instead of a fresh Tseitin encoding per question, one solver holds
-    the circuit for a whole run.  Each gate's definition (its Tseitin
-    clauses) sits under its own activation literal, and each query's
-    clauses under a query literal:
+    the circuit for a whole run, together with a selection variable
+    ``s_c`` per critical connection ``c``.  Each *definition* sits under
+    its own activation literal and owns exactly the variables from that
+    literal on:
 
-    * :meth:`sync` walks the circuit in topological order and diffs
-      every gate's signature (type plus ordered fanin *source* gids)
-      against the one it encoded.  A changed gate is re-encoded on its
-      unchanged output variable under a fresh activation literal, so
-      its fanout's definitions stay valid, and the old literal is
-      retired with the root unit ``(-a)``.  A gate that left the
-      circuit has its definition retired too.  A fresh build allocates
-      the gate variables in the topological order
-      :meth:`CircuitEncoder.encode` uses, which keeps the searches short
-      (insertion order doubled the decisions on ripple-carry adders).
+    * a gate's definition is its Tseitin clauses.  :meth:`sync` diffs
+      the signature (type plus ordered fanin *source* gids) of every
+      gate in its own :meth:`~repro.network.circuit.Circuit.record_touched`
+      record against the one it encoded; it walks the whole circuit in
+      topological order only at a (re)build, which allocates the gate
+      variables in the order :meth:`CircuitEncoder.encode` uses (that
+      keeps the searches short; insertion order doubled the decisions
+      on ripple-carry adders).  A changed gate is re-encoded on its
+      unchanged output variable under a fresh activation literal, so its
+      fanout's definitions stay valid, and the old literal is retired
+      with the root unit ``(-a)``.  A gate that left the circuit has its
+      definition retired too.  The record visits gates out of
+      topological order, so a fanin source's output variable may be
+      allocated on demand: always before the activation literal, since
+      the definition owns every variable after it;
+    * a critical connection's selection definition is ``s_c ->
+      OR(s_c' over src(c)'s critical in-edges)`` (when ``src(c)`` is not
+      a PI) plus ``s_c ->`` each of its side-input constraints.
+      :meth:`sync` re-encodes it only when those in-edges or constraints
+      changed and retires it when ``c`` left the critical map; ``s_c``
+      keeps its variable while ``c`` stays critical.
     * :meth:`query` opens a query: an :class:`ActivationCnf` gating
-      the caller's clauses under a fresh literal ``q``; :meth:`solve`
-      answers it under ``[q]`` plus every live activation literal and
-      then retires ``q``.
+      the caller's clauses (for the loop, the one root clause) under a
+      fresh literal ``q``; :meth:`solve` answers it under ``[q]`` plus
+      every live activation literal and then retires ``q``.
     * Variables that only retired clauses mention -- a query's
       variables, a retired definition's XOR auxiliaries, a removed
-      gate's output -- are fixed at the root.  Left free, they would
-      keep their activity, later searches could decide them before live
-      variables, and every SAT answer would have to decide them all.
+      gate's output, a dropped connection's ``s_c`` -- are fixed at the
+      root.  Left free, they would keep their activity, later searches
+      could decide them before live variables, and every SAT answer
+      would have to decide them all.
     * Retired clauses stay in the watch lists, so once they outnumber
       the live ones by :data:`REBUILD_RATIO` the next :meth:`sync`
       starts a fresh solver (dropping the learned clauses too).
@@ -214,76 +237,154 @@ class CircuitSolver:
     Soundness.  Every clause carries an activation or a query literal,
     only ever assumed and never fixed true; the root units that retire
     them are their only other occurrences.  Under the assumptions the
-    active clauses are exactly the current circuit's Tseitin encoding
-    plus the current query, and every retired clause is satisfied at the
-    root, so SAT/UNSAT is the from-scratch answer.  Learned clauses stay
-    implied, because the clause database only grows.  A literal ``-a``
-    can never be resolved away (``a`` occurs in no clause) nor dropped
-    as a root-level literal (``a`` is true only at assumption levels),
-    so a learned clause keeps the negated literal of every clause it was
-    derived from -- in particular of a clause mentioning each variable
-    it mentions.  Once every clause mentioning a variable is retired,
-    every clause left that mentions it is satisfied at the root, and
-    fixing the variable is sound.
+    active clauses are exactly the current circuit's Tseitin encoding,
+    the current selection definitions and the current query, and every
+    retired clause is satisfied at the root, so SAT/UNSAT is the
+    from-scratch answer.  Learned clauses stay implied, because the
+    clause database only grows.  A literal ``-a`` can never be resolved
+    away (``a`` occurs in no clause) nor dropped as a root-level literal
+    (``a`` is true only at assumption levels), so a learned clause keeps
+    the negated literal of every clause it was derived from -- in
+    particular of a clause mentioning each variable it mentions.  So a
+    variable is fixed at the root only once no live clause mentions it,
+    whether that clause is a gate definition, a selection definition or
+    the query: then every clause left that mentions it is satisfied at
+    the root, and fixing it is sound.  That is why :meth:`sync` retires
+    every stale selection definition before it fixes a removed gate's
+    output or a dropped connection's ``s_c``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, circuit: Circuit) -> None:
+        self.circuit = circuit
+        # the gates edited since the last sync
+        self._touched = circuit.record_touched()
         self._reset()
 
     def _reset(self) -> None:
         self.solver = Solver()
         #: gid -> its output variable, stable while the gate lives.
         self.var: Dict[int, int] = {}
+        #: critical connection -> its selection variable, stable while
+        #: the connection stays critical.
+        self.select: Dict[int, int] = {}
         # gid -> (signature, activation literal or 0, last variable of
         # the definition): a definition owns the variables act..last
         self._defs: Dict[int, Tuple[Signature, int, int]] = {}
+        # the same for the selection definitions, per connection
+        self._selects: Dict[int, Tuple[SelectSignature, int, int]] = {}
         # live activation literal -> its clause count
         self._live: Dict[int, int] = {}
         self._live_clauses = 0
         self._retired_clauses = 0
         self._query: Optional[ActivationCnf] = None
 
-    def sync(self, circuit: Circuit) -> None:
-        """Bring the encoding up to ``circuit``'s current structure."""
+    def sync(
+        self, edges: Selections, into: Dict[int, Tuple[int, ...]]
+    ) -> None:
+        """Bring the encoding up to the circuit's current structure and
+        to the critical map ``edges``, whose critical in-edges per gate
+        are ``into``."""
         if self._retired_clauses > REBUILD_RATIO * self._live_clauses:
             self._reset()
         self.solver.reset_to_root()
-        gates, conns, defs = circuit.gates, circuit.conns, self._defs
-        for gid in circuit.topological_order():
-            gate = gates[gid]
+        circuit, defs = self.circuit, self._defs
+        gates, conns = circuit.gates, circuit.conns
+        changed = (
+            sorted(self._touched) if defs else circuit.topological_order()
+        )
+        self._touched.clear()
+        # variables to fix once every definition mentioning them retired
+        unused: List[int] = []
+        for gid in changed:
+            gate = gates.get(gid)
+            old = defs.get(gid)
+            if gate is None:
+                if old is not None:
+                    del defs[gid]
+                    self._retire(old[1], old[2])
+                    unused.append(self.var.pop(gid))
+                continue
             sig = (
                 gate.gtype,
                 tuple([conns[cid].src for cid in gate.fanin]),
             )
-            old = defs.get(gid)
             if old is not None:
                 if old[0] == sig:
                     continue
                 self._retire(old[1], old[2])
             self._encode(gid, sig)
-        if len(defs) > len(gates):
-            for gid in [g for g in defs if g not in gates]:
-                _, act, last = defs.pop(gid)
-                self._retire(act, last)
-                self._fix((self.var.pop(gid),))
+        selects = self._selects
+        for cid in [c for c in selects if c not in edges]:
+            _, act, last = selects.pop(cid)
+            self._retire(act, last)
+            unused.append(self.select.pop(cid))
+        for cid, sides in edges.items():
+            src = conns[cid].src
+            ssig = (
+                None
+                if gates[src].gtype is GateType.INPUT
+                else into.get(src, ()),
+                sides,
+            )
+            old_select = selects.get(cid)
+            if old_select is not None:
+                if old_select[0] == ssig:
+                    continue
+                self._retire(old_select[1], old_select[2])
+            self._encode_select(cid, ssig)
+        self._fix(unused)
+
+    def _gate_var(self, gid: int) -> int:
+        out = self.var.get(gid)
+        if out is None:
+            out = self.var[gid] = self.solver.new_var()
+        return out
+
+    def _select_var(self, cid: int) -> int:
+        s = self.select.get(cid)
+        if s is None:
+            s = self.select[cid] = self.solver.new_var()
+        return s
 
     def _encode(self, gid: int, sig: Signature) -> None:
         count("loop_gate_encodings")
-        solver = self.solver
-        out = self.var.get(gid)
-        if out is None:
-            out = self.var[gid] = solver.new_var()
         gtype, srcs = sig
+        ins = [self._gate_var(s) for s in srcs]
+        out = self._gate_var(gid)
         if gtype is GateType.INPUT:
             self._defs[gid] = (sig, 0, 0)  # a free variable
             return
-        gated = ActivationCnf(solver, solver.new_var())
-        CircuitEncoder(gated).constrain(
-            gtype, out, [self.var[s] for s in srcs]
+        gated = self._open()
+        CircuitEncoder(gated).constrain(gtype, out, ins)
+        self._defs[gid] = self._close(sig, gated)
+
+    def _encode_select(self, cid: int, sig: SelectSignature) -> None:
+        count("loop_select_encodings")
+        ins, sides = sig
+        s = self._select_var(cid)
+        clauses = (
+            [] if ins is None else [[-s] + [self._select_var(c) for c in ins]]
         )
-        self._defs[gid] = (sig, gated.act, solver.num_vars)
+        var = self.var
+        clauses += [
+            (-s, var[src] if value else -var[src]) for src, value in sides
+        ]
+        if not clauses:
+            self._selects[cid] = (sig, 0, 0)  # s_c is free
+            return
+        gated = self._open()
+        for clause in clauses:
+            gated.add_clause(clause)
+        self._selects[cid] = self._close(sig, gated)
+
+    def _open(self) -> ActivationCnf:
+        return ActivationCnf(self.solver, self.solver.new_var())
+
+    def _close(self, sig, gated: ActivationCnf) -> tuple:
+        """Register a definition's clauses as live; its record."""
         self._live[gated.act] = gated.clauses
         self._live_clauses += gated.clauses
+        return (sig, gated.act, self.solver.num_vars)
 
     def _retire(self, act: int, last: int) -> None:
         """Switch a definition off for good: ``(-act)`` plus its
@@ -302,7 +403,7 @@ class CircuitSolver:
         """Open a query over the synced encoding: the returned facade
         allocates the query's variables and gates its clauses under a
         fresh query literal until :meth:`solve` retires it."""
-        self._query = ActivationCnf(self.solver, self.solver.new_var())
+        self._query = self._open()
         return self._query
 
     def solve(self) -> bool:

@@ -14,8 +14,11 @@ what the loop needs:
   of mutated gates;
 * **one question per loop test** -- the loop condition "all longest
   paths are not statically sensitizable/viable" is one existential
-  question, asked once over the *critical subgraph* (the connections
-  that lie on a longest path) instead of once per longest path:
+  question, asked once over the *critical map* (each connection that
+  lies on a longest path, with its side-input constraints) instead of
+  once per longest path.  The map is kept across tests: within one
+  delay only the connections around the edited and re-timed gates are
+  re-derived.
 
   1. a **reach pass** over the iteration's 64 packed random patterns
      walks the critical connections in topological order with
@@ -27,7 +30,8 @@ what the loop needs:
      :meth:`IncrementalTiming.check_path`), on one
      :class:`~repro.sat.CircuitSolver` that lives for the whole run:
      each solve re-encodes only the gates whose type or fanin sources
-     changed since the last one.
+     changed since the last one, and the selection definitions whose
+     in-edges or constraints changed.
 
 Counter semantics (all deterministic; counted in
 :mod:`repro.counters`, so they reach
@@ -40,7 +44,10 @@ Counter semantics (all deterministic; counted in
   answered;
 * ``viability_checks_exact`` -- loop tests answered by the SAT solve;
 * ``loop_gate_encodings`` -- gate definitions the loop solver encoded:
-  every gate at each (re)build, plus each re-encoded gate.
+  every gate at each (re)build, plus each re-encoded gate;
+* ``loop_select_encodings`` -- selection definitions the loop solver
+  encoded: every critical connection at each (re)build, plus each one
+  whose in-edges or constraints changed.
 
 The reach pass answers only "yes", with a witness, and the SAT query is
 exact, so the incremental loop takes the same decisions as the per-path
@@ -51,14 +58,14 @@ exactly that.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..counters import count
 from ..network import Circuit, GateType
 from ..sat import CircuitSolver
 from .models import AsBuiltDelayModel, DelayModel
 from .sensitize import edge_side_inputs
-from .sta import IncrementalSTA, TimingAnnotation, critical_connections
+from .sta import IncrementalSTA, TimingAnnotation, is_critical
 from .viability import settled_before
 
 #: Packed-simulation width: one machine word of random patterns.
@@ -66,7 +73,7 @@ PREFILTER_WIDTH = 64
 
 #: critical connection -> its (source gid, required value) side-input
 #: constraints under the context's mode.
-CriticalEdges = Dict[int, List[Tuple[int, int]]]
+CriticalEdges = Dict[int, Tuple[Tuple[int, int], ...]]
 
 
 class IncrementalTiming:
@@ -97,6 +104,16 @@ class IncrementalTiming:
         self._sim: Optional[Dict[int, int]] = None
         self._annotation: Optional[TimingAnnotation] = None
         self._solver: Optional[CircuitSolver] = None
+        #: the critical map as of the last loop test (see
+        #: :meth:`check_path`), kept across tests.
+        self.critical: CriticalEdges = {}
+        # gid -> its critical in-edges, in fanin order
+        self._into: Dict[int, Tuple[int, ...]] = {}
+        # the delay the map was derived at; None: derive from scratch
+        self._critical_delay: Optional[float] = None
+        # the gates edited, and those re-timed, since the map was derived
+        self._touched = circuit.record_touched()
+        self._moved: Set[int] = set()
 
     # ------------------------------------------------------------------ #
     # per-iteration lifecycle
@@ -129,7 +146,7 @@ class IncrementalTiming:
     def refresh(self) -> None:
         """Re-relax timing in the dirty cone of the gates edited since
         the last refresh."""
-        self.sta.refresh()
+        self._moved |= self.sta.refresh()
         self._annotation = None
 
     # ------------------------------------------------------------------ #
@@ -140,8 +157,10 @@ class IncrementalTiming:
         """Is some longest path statically sensitizable (static mode) /
         viable (viability mode)?
 
-        The SAT query adds, to the Tseitin encoding, a selection
-        variable ``s_c`` per critical connection ``c`` with
+        The question is asked over the critical map :attr:`critical`,
+        brought up to date first (:meth:`_update_critical`).  The SAT
+        query adds, to the Tseitin encoding, a selection variable
+        ``s_c`` per critical connection ``c`` with
 
         * ``s_c -> OR(s_c' over src(c)'s critical in-edges)`` when
           ``src(c)`` is not a PI;
@@ -157,66 +176,96 @@ class IncrementalTiming:
         SAT solve answers alone.
 
         The encoding lives on one :class:`~repro.sat.CircuitSolver`
-        for the context's lifetime: it is synced to the circuit before
-        each solve, and these clauses form one query, retired after it.
+        for the context's lifetime: synced to the circuit and the map
+        before each solve, it keeps the gate and selection definitions,
+        so a query is only the root clause, retired after the solve.
         """
         circuit = self.circuit
-        edges = self._critical_edges()
-        into: Dict[int, List[int]] = {}  # gid -> its critical in-edges
-        for cid in edges:
-            into.setdefault(circuit.conns[cid].dst, []).append(cid)
+        self._update_critical()
+        edges, into = self.critical, self._into
         if self._reach(edges, into):
             count("viability_checks_prefiltered")
             return True
         count("viability_checks_exact")
         if self._solver is None:
-            self._solver = CircuitSolver()
+            self._solver = CircuitSolver(circuit)
         loop = self._solver
-        loop.sync(circuit)
-        var = loop.var
-        cnf = loop.query()
-        select = {cid: cnf.new_var() for cid in edges}
-        roots = []
-        for cid, sides in edges.items():
-            conn = circuit.conns[cid]
-            s = select[cid]
-            if circuit.gates[conn.src].gtype is not GateType.INPUT:
-                cnf.add_clause(
-                    [-s] + [select[c] for c in into.get(conn.src, ())]
-                )
-            if circuit.gates[conn.dst].gtype is GateType.OUTPUT:
-                roots.append(s)
-            for src, value in sides:
-                cnf.add_clause([-s, var[src] if value else -var[src]])
-        cnf.add_clause(roots)
+        loop.sync(edges, into)
+        select = loop.select
+        loop.query().add_clause(
+            [select[c] for out in circuit.outputs for c in into.get(out, ())]
+        )
         return loop.solve()
 
-    def _critical_edges(self) -> CriticalEdges:
-        """Critical connections with their side-input constraints.
+    def _update_critical(self) -> None:
+        """Bring the critical map up to the current annotation.
+
+        The map is derived from scratch on the first test and whenever
+        the delay moved.  Otherwise only the fanin connections of three
+        kinds of gate are re-derived: the gates edited since, the gates
+        whose arrival or ``dist_to_po`` changed, and the gates those
+        feed.  A connection's entry reads nothing else: its source's
+        arrival, its own delay, its sink's type, delay, fanin and
+        ``dist_to_po``, and in viability mode its side sources'
+        arrivals and side delays.
+        """
+        circuit = self.circuit
+        ann = self.annotation()
+        gates, conns = circuit.gates, circuit.conns
+        if ann.delay != self._critical_delay:
+            self._critical_delay = ann.delay
+            self.critical.clear()
+            self._into.clear()
+            dirty = list(gates)
+        else:
+            fed = {
+                conns[cid].dst
+                for gid in self._moved
+                if gid in gates
+                for cid in gates[gid].fanout
+            }
+            dirty = sorted(self._touched | self._moved | fed)
+        self._touched.clear()
+        self._moved.clear()
+        for gid in dirty:
+            self._derive(gid, ann)
+
+    def _derive(self, gid: int, ann: TimingAnnotation) -> None:
+        """Re-derive the map entries of gate ``gid``'s fanin connections.
 
         In viability mode only the early side inputs are constrained:
         those settled before the event arrives along ``c``.  On a
         critical connection that event time is ``arrival(src(c)) +
         d(c)``, so the early set depends on the connection alone.
         """
-        circuit, model = self.circuit, self.model
-        ann = self.annotation()
+        circuit, model, edges = self.circuit, self.model, self.critical
+        for cid in self._into.pop(gid, ()):
+            del edges[cid]
+        gate = circuit.gates.get(gid)
+        if gate is None:
+            return
         viability = self.mode == "viability"
-        edges: CriticalEdges = {}
-        for cid in critical_connections(circuit, model, ann):
+        into = []
+        for cid in gate.fanin:
+            if not is_critical(circuit, model, ann, cid):
+                continue
             tau = ann.arrival[circuit.conns[cid].src] + model.conn_delay(
                 circuit, cid
             )
-            edges[cid] = [
-                (circuit.conns[si.cid].src, si.value)
-                for si in edge_side_inputs(circuit, cid)
-                if not viability
-                or settled_before(circuit, model, ann, si.cid, tau)
-            ]
-        return edges
+            edges[cid] = tuple(
+                [
+                    (circuit.conns[si.cid].src, si.value)
+                    for si in edge_side_inputs(circuit, cid)
+                    if not viability
+                    or settled_before(circuit, model, ann, si.cid, tau)
+                ]
+            )
+            into.append(cid)
+        if into:
+            self._into[gid] = tuple(into)
 
     def _reach(
-        self, edges: CriticalEdges, into: Dict[int, List[int]]
+        self, edges: CriticalEdges, into: Dict[int, Tuple[int, ...]]
     ) -> bool:
         """Does one of the packed patterns sensitize a longest path?"""
         circuit, sim = self.circuit, self._sim

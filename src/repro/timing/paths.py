@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Container, Iterator, List, Optional, Tuple
 
 from ..network import Circuit, GateType
 from .models import EPS, NEVER, AsBuiltDelayModel, DelayModel
@@ -108,6 +108,7 @@ def iter_paths_longest_first(
     model: Optional[DelayModel] = None,
     annotation: Optional[TimingAnnotation] = None,
     max_paths: Optional[int] = None,
+    within: Optional[Container[int]] = None,
 ) -> Iterator[Path]:
     """Yield IO-paths in nonincreasing length order, lazily.
 
@@ -116,6 +117,14 @@ def iter_paths_longest_first(
     (hence admissible and consistent) bound on the best completion, so
     paths pop in sorted order.  Paths through constants (which never
     transition) are excluded.  ``max_paths <= 0`` yields nothing.
+
+    ``within``, when given, restricts the search to those connections.
+    Restricted to the critical connections
+    (:func:`~repro.timing.sta.critical_connections`) it yields the same
+    first path: every item the full search pops before its first path
+    has priority at least the delay, up to rounding, so it came through
+    a critical connection; and the items kept are pushed in the same
+    relative order, so ties break the same way.
     """
     if max_paths is not None and max_paths <= 0:
         return
@@ -150,6 +159,8 @@ def iter_paths_longest_first(
                 return
             continue
         for cid in gate.fanout:
+            if within is not None and cid not in within:
+                continue
             conn = circuit.conns[cid]
             dst = conn.dst
             down = ann.dist_to_po.get(dst, NEVER)

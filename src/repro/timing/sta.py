@@ -227,13 +227,16 @@ class IncrementalSTA:
                 delay = max(delay, a)
         self.delay = delay
 
-    def refresh(self) -> None:
-        """Re-relax from the gates recorded since the last refresh.
+    def refresh(self) -> Set[int]:
+        """Re-relax from the gates recorded since the last refresh, and
+        return the gates whose arrival or ``dist_to_po`` changed (a gate
+        added since counts as changed).
 
         A recorded gate that is still in the circuit seeds both passes;
         a removed one only loses its entries.  The record is cleared.
         """
         circuit = self.circuit
+        moved: Set[int] = set()
         dirty: Set[int] = set()
         for gid in self._touched:
             if gid in circuit.gates:
@@ -246,16 +249,19 @@ class IncrementalSTA:
         if dirty:
             order = circuit.topological_order()
             pos = {gid: i for i, gid in enumerate(order)}
-            self._relax_forward(dirty, pos)
+            self._relax_forward(dirty, pos, moved)
             # A touched gate's own-delay / in-edge-delay change shifts its
             # *parents'* dist_to_po while leaving its own unchanged (dist
             # covers only the fanout side); the parent-visible memo key in
             # _relax_backward covers exactly those components, so seeding
             # with the touched gates alone reaches every moved parent.
-            self._relax_backward(dirty, pos)
+            self._relax_backward(dirty, pos, moved)
         self._refresh_delay()
+        return moved
 
-    def _relax_forward(self, dirty: Set[int], pos: Dict[int, int]) -> None:
+    def _relax_forward(
+        self, dirty: Set[int], pos: Dict[int, int], moved: Set[int]
+    ) -> None:
         circuit, model = self.circuit, self.model
         heap = [(pos[gid], gid) for gid in dirty]
         heapq.heapify(heap)
@@ -270,6 +276,7 @@ class IncrementalSTA:
             self.arrival[gid] = new
             if old is not None and new == old:
                 continue
+            moved.add(gid)
             for cid in circuit.gates[gid].fanout:
                 dst = circuit.conns[cid].dst
                 if dst not in queued:
@@ -277,7 +284,9 @@ class IncrementalSTA:
                     heapq.heappush(heap, (pos[dst], dst))
         count("arrival_relaxations", relaxed)
 
-    def _relax_backward(self, dirty: Set[int], pos: Dict[int, int]) -> None:
+    def _relax_backward(
+        self, dirty: Set[int], pos: Dict[int, int], moved: Set[int]
+    ) -> None:
         circuit, model = self.circuit, self.model
         heap = [(-pos[gid], gid) for gid in dirty]
         heapq.heapify(heap)
@@ -288,6 +297,8 @@ class IncrementalSTA:
             queued.discard(gid)
             new = _gate_dist(circuit, model, gid, self.dist_to_po)
             relaxed += 1
+            if self.dist_to_po.get(gid) != new:
+                moved.add(gid)
             self.dist_to_po[gid] = new
             key = self._parent_key(gid, new)
             if self._bwd_memo.get(gid) == key:
@@ -322,32 +333,39 @@ def topological_delay(
     return analyze(circuit, model).delay
 
 
+def is_critical(
+    circuit: Circuit, model: DelayModel, ann: TimingAnnotation, cid: int
+) -> bool:
+    """Does connection ``cid`` lie on a topologically-longest path?
+
+    It does when the longest path through it reaches the delay within
+    :data:`~repro.timing.models.EPS`: that path's length summed here in
+    a different order than along the path can miss the delay in the
+    last bits under non-integer delays.
+    """
+    conn = circuit.conns[cid]
+    a = ann.arrival[conn.src]
+    down = ann.dist_to_po[conn.dst]
+    if a == NEVER or down == NEVER:
+        return False
+    total = (
+        a
+        + model.conn_delay(circuit, cid)
+        + model.gate_delay(circuit, conn.dst)
+        + down
+    )
+    return total >= ann.delay - EPS
+
+
 def critical_connections(
     circuit: Circuit,
     model: Optional[DelayModel] = None,
     annotation: Optional[TimingAnnotation] = None,
 ) -> List[int]:
-    """Connections lying on at least one topologically-longest path.
-
-    A connection qualifies when the longest path through it reaches the
-    delay within :data:`~repro.timing.models.EPS`: that path's length
-    summed here in a different order than along the path can miss the
-    delay in the last bits under non-integer delays.
-    """
+    """Connections lying on at least one topologically-longest path
+    (:func:`is_critical`)."""
     model = model if model is not None else AsBuiltDelayModel()
     ann = annotation if annotation is not None else analyze(circuit, model)
-    result = []
-    for cid, conn in circuit.conns.items():
-        a = ann.arrival[conn.src]
-        down = ann.dist_to_po[conn.dst]
-        if a == NEVER or down == NEVER:
-            continue
-        total = (
-            a
-            + model.conn_delay(circuit, cid)
-            + model.gate_delay(circuit, conn.dst)
-            + down
-        )
-        if total >= ann.delay - EPS:
-            result.append(cid)
-    return result
+    return [
+        cid for cid in circuit.conns if is_critical(circuit, model, ann, cid)
+    ]

@@ -4,12 +4,16 @@ import importlib
 
 import pytest
 
-from repro.circuits import carry_skip_adder, fig4_c2_cone
+from repro.circuits import (
+    carry_skip_adder,
+    fig4_c2_cone,
+    random_redundant_circuit,
+)
 from repro.core import KmsError, kms
 from repro.network import Builder
 from repro.network.transform import duplicate_chain
 from repro.sat import check_equivalence
-from repro.timing import AsBuiltDelayModel
+from repro.timing import AsBuiltDelayModel, FanoutDelayModel
 
 
 class TestDegenerateInputs:
@@ -84,6 +88,21 @@ class TestGuards:
         with pytest.raises(KmsError, match="duplication changed the delay"):
             kms(carry_skip_adder(4, 2), model=AsBuiltDelayModel(),
                 checked=True)
+
+    @pytest.mark.parametrize("mode", ["static", "viability"])
+    def test_checked_mode_accepts_a_duplication_that_lowers_the_delay(
+        self, mode
+    ):
+        """Under a fanout-load model, moving P's edge e onto n' lightens
+        n, so a duplication can lower the delay (here 13.3 -> 13).
+        ``checked`` promises only that the delay does not rise."""
+        circuit = random_redundant_circuit(
+            num_inputs=5, num_gates=15, seed=0
+        )
+        model = FanoutDelayModel(AsBuiltDelayModel(), load_per_fanout=0.1)
+        result = kms(circuit, mode=mode, model=model, checked=True)
+        assert result.duplicated_gates > 0
+        assert check_equivalence(circuit, result.circuit).equivalent
 
 
 def test_max_iterations_zero_ok_when_no_work_needed():

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from repro.circuits import random_circuit
 from repro.network import Builder, GateType
-from repro.sat import Solver, encode_circuit
+from repro.network.transform import set_connection_constant
+from repro.sat import CircuitSolver, Solver, encode_circuit
 
 
 @given(seed=st.integers(0, 60), bits=st.integers(0, 31))
@@ -85,3 +86,37 @@ def test_shared_input_vars_for_miters(two_output_circuit):
         assert var_a[gid] == var_b[gid]
     for gid in c.outputs:
         assert var_a[gid] != var_b[gid]
+
+
+# ---------------------------------------------------------------------- #
+# CircuitSolver: the KMS loop test's run-long solver
+# ---------------------------------------------------------------------- #
+
+
+def test_circuit_solver_allocates_a_new_source_before_its_reader():
+    """A definition owns exactly the variables from its activation
+    literal on, and retiring it fixes them all.  ``sync`` visits the
+    recorded gates in gid order, so a new constant with a higher gid
+    than the gate it feeds gets its output variable while that gate is
+    re-encoded: before the gate's activation literal, or retiring the
+    gate's definition would fix a live gate's variable."""
+    b = Builder()
+    x, y = b.inputs("x", "y")
+    g = b.and_(x, y)
+    b.output("o", g)
+    circuit = b.done()
+    out = circuit.find_output("o")
+    loop = CircuitSolver(circuit)
+    loop.sync({}, {})
+    const = set_connection_constant(circuit, circuit.gates[g].fanin[0], 1)
+    assert const > g
+    loop.sync({}, {})  # re-encodes g = AND(1, y), then encodes the CONST1
+    assert loop.var[const] < loop._defs[g][1]
+    circuit.set_gate_type(g, GateType.OR)
+    loop.sync({}, {})  # re-encodes g = OR(1, y), retiring AND(1, y)
+    query = loop.query()
+    query.add_clause([loop.var[out]])
+    assert loop.solve()  # o = 1 + y holds
+    query = loop.query()
+    query.add_clause([-loop.var[out]])
+    assert not loop.solve()

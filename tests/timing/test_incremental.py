@@ -110,13 +110,16 @@ def test_check_path_sat_solve_answers_when_reach_pass_misses(
 
 
 def test_loop_gate_encodings_moves_on_check_mutate_check():
-    """The run-long loop solver encodes every gate once on its first
-    solve, then only the gates whose type or fanin sources changed."""
+    """The run-long loop solver encodes every gate and every critical
+    connection's selection once on its first solve, then only the gates
+    whose type or fanin sources changed and the selections whose
+    in-edges or constraints changed."""
     circuit = carry_skip_adder(4, 2)
     timing = IncrementalTiming(circuit, MODEL)  # SAT-only: no patterns
     window = Window()
     assert timing.check_path() is False
     assert window.delta()["loop_gate_encodings"] == len(circuit.gates)
+    assert window.delta()["loop_select_encodings"] == len(timing.critical)
     # tie one gate's pin off: the constant is new and the gate changed
     gid = next(
         g for g, gate in circuit.gates.items()
@@ -131,6 +134,7 @@ def test_loop_gate_encodings_moves_on_check_mutate_check():
     window = Window()
     timing.check_path()
     assert window.delta()["loop_gate_encodings"] == 0
+    assert window.delta()["loop_select_encodings"] == 0
     assert window.delta()["viability_checks_exact"] == 1
 
 

@@ -1,6 +1,6 @@
 """Property suite: the incremental timing engine tracks the full oracle.
 
-Three layers of agreement over randomized inputs:
+Four layers of agreement over randomized inputs:
 
 * **STA state** -- after every mutation in a randomized sequence of KMS
   transforms (constant-setting + propagation, sweeps, chain
@@ -15,11 +15,17 @@ Three layers of agreement over randomized inputs:
 * **the loop test** -- before and after every mutation,
   :meth:`IncrementalTiming.check_path`'s one question must equal the
   per-path reference: some longest path passes the from-scratch
-  sensitization (static) / viability checker.  A long-lived SAT-only
+  sensitization (static) / viability checker.  After each question the
+  critical map the context keeps across questions must equal a
+  from-scratch derivation, and a solver that just synced must hold
+  exactly the circuit's gate signatures.  A long-lived SAT-only
   context (it never simulates patterns, so every question reaches its
   run-long :class:`~repro.sat.CircuitSolver`) must keep agreeing over
   mutation sequences of 30 and more steps, re-sourcings and retypes
   included, through the solver's rebuilds.
+* **the loop's path** -- the longest-first search restricted to the
+  critical connections yields the same first path as the unrestricted
+  one.
 * **KMS outputs** -- ``kms(..., incremental=True)`` and the per-path
   reference take the same steps (event sequences) and produce
   bit-identical final circuits (same content fingerprint) and
@@ -61,9 +67,12 @@ from repro.timing import (
     SensitizationChecker,
     ViabilityChecker,
     analyze,
+    critical_connections,
     iter_paths_longest_first,
     longest_paths,
 )
+from repro.timing.sensitize import edge_side_inputs
+from repro.timing.viability import settled_before
 
 #: (id prefix, model); the as-built model keeps the bare numeric ids.
 MODELS = [
@@ -238,15 +247,59 @@ def _per_path_reference(circuit, model, mode):
     return any(exact(path) for path in longest_paths(circuit, model))
 
 
+def _critical_map_from_scratch(circuit, model, mode, ann):
+    """Every critical connection with its side-input constraints,
+    derived from the annotation alone."""
+    edges = {}
+    for cid in critical_connections(circuit, model, ann):
+        tau = ann.arrival[circuit.conns[cid].src] + model.conn_delay(
+            circuit, cid
+        )
+        edges[cid] = tuple(
+            (circuit.conns[si.cid].src, si.value)
+            for si in edge_side_inputs(circuit, cid)
+            if mode != "viability"
+            or settled_before(circuit, model, ann, si.cid, tau)
+        )
+    return edges
+
+
+def _assert_kept_state(timing, circuit, model, mode, synced):
+    """After a loop test, the kept critical map equals a from-scratch
+    derivation, and a solver that synced for it holds exactly the
+    circuit's gate signatures."""
+    edges = _critical_map_from_scratch(
+        circuit, model, mode, analyze(circuit, model)
+    )
+    assert timing.critical == edges
+    into = {
+        gid: tuple(cid for cid in gate.fanin if cid in edges)
+        for gid, gate in circuit.gates.items()
+    }
+    assert timing._into == {gid: cids for gid, cids in into.items() if cids}
+    if synced:
+        held = {gid: d[0] for gid, d in timing._solver._defs.items()}
+        assert held == {
+            gid: (
+                gate.gtype,
+                tuple(circuit.conns[cid].src for cid in gate.fanin),
+            )
+            for gid, gate in circuit.gates.items()
+        }
+
+
 def _assert_loop_test_matches_reference(timing, circuit, model, mode):
     """The loop's answer, and the SAT solve's alone (a fresh context
     has simulated no patterns, so its reach pass cannot answer), both
-    equal the per-path reference."""
+    equal the per-path reference; the loop's context keeps its state."""
     timing.begin_iteration()
     if timing.annotation().delay <= 0:
         return  # the KMS loop exits before asking
     expected = _per_path_reference(circuit, model, mode)
+    window = Window()
     assert timing.check_path() == expected
+    synced = window.delta()["viability_checks_exact"] == 1
+    _assert_kept_state(timing, circuit, model, mode, synced)
     sat_only = IncrementalTiming(circuit, model, mode=mode)
     window = Window()
     assert sat_only.check_path() == expected
@@ -373,12 +426,33 @@ def test_run_long_loop_solver_matches_per_path_reference(
                     circuit, model, mode
                 )
                 assert window.delta()["viability_checks_exact"] == 1
+                _assert_kept_state(timing, circuit, model, mode, True)
                 asked += 1
             if rng.choice(LONG_MUTATIONS)(circuit, model, rng):
                 timing.refresh()
     assert asked >= 2 * LONG_STEPS
     # the solvers outlived their first encoding at least once
     assert len(builds) > len(set(map(id, builds)))
+
+
+@_over_models(range(BATCHES))
+def test_first_path_within_critical_connections_matches_unrestricted(
+    model, case
+):
+    """The KMS loop takes its path from the search restricted to the
+    critical map; it must be the unrestricted search's first path."""
+    rng = random.Random(5000 + case)
+    for index in range(CIRCUITS_PER_BATCH):
+        circuit = _random_subject(rng, index)
+        for _step in range(rng.randint(1, 4)):
+            ann = analyze(circuit, model)
+            first = next(iter_paths_longest_first(circuit, model, ann), None)
+            within = set(critical_connections(circuit, model, ann))
+            assert first == next(
+                iter_paths_longest_first(circuit, model, ann, within=within),
+                None,
+            )
+            rng.choice(MUTATIONS)(circuit, model, rng)
 
 
 def _steps(result):
